@@ -13,9 +13,9 @@ use crate::{FrontKind, SolverBackend};
 
 /// What a batch ultimately memoizes: one computed front (or the error that
 /// computing it produced — errors are structural, so they cache equally
-/// well) plus the solver wall time that produced it, and — for treelike
-/// bottom-up solves — the retained per-subtree fronts the incremental
-/// what-if path reuses ([`SubtreeMemo`]).
+/// well) plus the solver wall time that produced it, and — once a what-if
+/// has run on the tree — the retained per-subtree fronts the incremental
+/// path reuses ([`SubtreeMemo`]).
 #[derive(Clone, Debug)]
 pub struct CachedFront {
     /// The Pareto front — witnesses stored in canonical BAS positions (see
@@ -23,11 +23,12 @@ pub struct CachedFront {
     pub result: Result<ParetoFront, String>,
     /// Solver wall time of the original computation.
     pub compute: Duration,
-    /// The subtree-front memo retained by a treelike bottom-up solve, used
-    /// by [`Engine::sweep`](crate::Engine::sweep) to recompute only dirty
-    /// root paths. Memory-only: persisted records never carry it, so
-    /// disk-promoted entries start with `None` until a delta request
-    /// rebuilds one.
+    /// The subtree-front memo [`Engine::sweep`](crate::Engine::sweep)
+    /// uses to recompute only dirty root paths. Plain solves never attach
+    /// one: the first what-if on the tree builds it and attaches it to
+    /// this entry, and it weighs against the points budget only from
+    /// then on. Memory-only: persisted records never carry it, so
+    /// disk-promoted entries start with `None` as well.
     pub memo: Option<Arc<SubtreeMemo>>,
     /// Which backend computed this entry — observability only, never part
     /// of the answer (all backends return the same exact front). `None`
@@ -293,60 +294,30 @@ impl FrontCache {
     /// Under a points budget, least-recently-used entries are evicted
     /// until the shard fits its slice again. An entry heavier than the
     /// whole slice first sheds its (memory-only, rebuildable) subtree
-    /// memo — counted as an eviction — so the front itself still caches
-    /// under budgets that predate memos; only if it is *still* too heavy
-    /// is it returned uncached.
-    pub fn insert(&self, key: CacheKey, mut entry: CachedFront) -> Arc<CachedFront> {
-        let index = self.shard_index(&key);
-        let slice = self.budgets.as_ref().map(|b| b[index]);
-        if let Some(budget) = slice {
-            if entry.weight() > budget && entry.memo.is_some() {
-                entry.memo = None;
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        let weight = entry.weight();
-        let mut shard = self.shards[index].lock().expect("cache shard poisoned");
-        if let Some(slot) = shard.map.get(&key) {
-            return slot.entry.clone();
-        }
-        let entry = Arc::new(entry);
-        if let Some(budget) = slice {
-            if weight > budget {
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-                return entry;
-            }
-        }
-        let now = shard.tick();
-        shard.points += weight;
-        shard.map.insert(key, Slot { entry: entry.clone(), weight, last_used: now });
-        if let Some(budget) = slice {
-            shard.lru.insert(now, key);
-            while shard.points > budget {
-                // The newest entry carries the max clock and fits the
-                // budget alone, so the LRU victim is always an older one.
-                let (_, victim) = shard.lru.pop_first().expect("a shard over budget is nonempty");
-                let slot = shard.map.remove(&victim).expect("lru mirrors the map");
-                shard.points -= slot.weight;
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        entry
+    /// memo — counted as an eviction — so the front itself still caches;
+    /// only if it is *still* too heavy is it returned uncached.
+    pub fn insert(&self, key: CacheKey, entry: CachedFront) -> Arc<CachedFront> {
+        self.store(key, entry, false)
     }
 
     /// Stores `entry` for `key`, **overwriting** any existing entry — the
     /// exception to the first-writer-wins rule, used by the delta path to
     /// attach a freshly built [`SubtreeMemo`] to an entry that lacks one
-    /// (e.g. a disk-promoted record). Safe because the replacement's front
-    /// is byte-identical to the replaced one; only the memo differs.
+    /// (a plain solve's entry, or a disk-promoted record). Safe because
+    /// the replacement's front is byte-identical to the replaced one; only
+    /// the memo differs.
     ///
     /// Points accounting matches [`insert`](Self::insert): the old weight
-    /// is released, the new one charged, and LRU eviction runs if the
-    /// shard overflows its slice. An entry heavier than the whole slice
-    /// sheds its memo first (counted as an eviction, like `insert`); if
-    /// still too heavy it leaves the cache untouched and is returned
-    /// uncached.
-    pub(crate) fn replace(&self, key: CacheKey, mut entry: CachedFront) -> Arc<CachedFront> {
+    /// is released, the new one charged, memo shedding and LRU eviction
+    /// run the same way. An entry too heavy for the slice even without
+    /// its memo leaves the cache untouched and is returned uncached.
+    pub(crate) fn replace(&self, key: CacheKey, entry: CachedFront) -> Arc<CachedFront> {
+        self.store(key, entry, true)
+    }
+
+    /// The shared body of [`insert`](Self::insert) (`overwrite == false`)
+    /// and [`replace`](Self::replace).
+    fn store(&self, key: CacheKey, mut entry: CachedFront, overwrite: bool) -> Arc<CachedFront> {
         let index = self.shard_index(&key);
         let slice = self.budgets.as_ref().map(|b| b[index]);
         if let Some(budget) = slice {
@@ -357,6 +328,11 @@ impl FrontCache {
         }
         let weight = entry.weight();
         let mut shard = self.shards[index].lock().expect("cache shard poisoned");
+        if !overwrite {
+            if let Some(slot) = shard.map.get(&key) {
+                return slot.entry.clone();
+            }
+        }
         let entry = Arc::new(entry);
         if let Some(budget) = slice {
             if weight > budget {
@@ -374,6 +350,8 @@ impl FrontCache {
         if let Some(budget) = slice {
             shard.lru.insert(now, key);
             while shard.points > budget {
+                // The newest entry carries the max clock and fits the
+                // budget alone, so the LRU victim is always an older one.
                 let (_, victim) = shard.lru.pop_first().expect("a shard over budget is nonempty");
                 let slot = shard.map.remove(&victim).expect("lru mirrors the map");
                 shard.points -= slot.weight;

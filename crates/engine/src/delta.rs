@@ -4,11 +4,11 @@
 //! A what-if request names a *base* tree and a small [`TreePatch`]
 //! (attribute edits, gate swaps, BAS defends). Solving each variant from
 //! scratch re-runs the full bottom-up pass; the delta path instead reuses
-//! a [`SubtreeMemo`] — the per-subtree staircase fronts retained by a
-//! normal treelike solve ([`cdat_bottomup::RetainedFronts`]) keyed by the
-//! same `(canonical hash, front family)` cache key the root front lives
-//! under — and recomputes only the patched nodes and their ancestors
-//! ([`RetainedFronts::delta`]).
+//! a [`SubtreeMemo`] — the per-subtree staircase fronts of one retaining
+//! treelike solve ([`cdat_bottomup::RetainedFronts`]) attached to the
+//! cache entry under the same `(canonical hash, front family)` key the
+//! root front lives under — and recomputes only the patched nodes and
+//! their ancestors ([`RetainedFronts::delta`]).
 //!
 //! # Byte-identity
 //!
@@ -26,16 +26,20 @@
 //!
 //! # Memo lifecycle
 //!
-//! Memos are built by normal solves (every treelike bottom-up miss
-//! retains its per-node fronts) and by the first delta request when none
-//! is cached — e.g. after a restart, since memos are **memory-only**:
-//! persisted records never carry them. Before reuse the memo's tree is
+//! Plain solves ([`Engine::run`]) cache the bare root front and never a
+//! memo. The first delta request on a key runs one retaining solve,
+//! builds the memo and attaches it to the cached entry (or stores the
+//! entry, if the key was not cached), counting one `memo_builds` tick;
+//! later delta requests on the key reuse it. Memos are **memory-only**:
+//! persisted records never carry them, so after a restart the first
+//! what-if on a tree builds its memo again. Before reuse the memo's tree is
 //! compared *structurally* against the requester's (node types, child
 //! lists, attribute bits — names excluded, exactly the canonical-hash
 //! equivalence): digests alone cannot distinguish sibling orders, which
-//! witness tie-breaking depends on. A memo weighs [`SubtreeMemo::points`]
-//! points in the budgeted LRU on top of its entry's root front, so
-//! retained fronts are evicted under the same bound as everything else.
+//! witness tie-breaking depends on. From the moment it is attached, a
+//! memo weighs [`SubtreeMemo::points`] points in the budgeted LRU on top
+//! of its entry's root front, so retained fronts are evicted under the
+//! same bound as everything else.
 //!
 //! [`RetainedFronts::delta`]: cdat_bottomup::RetainedFronts::delta
 //! [`RetainedFronts`]: cdat_bottomup::RetainedFronts
@@ -45,9 +49,9 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use cdat_bottomup::{retain_cdpf, retain_cedpf, RetainedFronts};
-use cdat_core::canonical::{canonicalize_cd, canonicalize_cdp, hash_cd, hash_cdp};
+use cdat_core::canonical::{hash_cd, hash_cdp};
 use cdat_core::canonical::{subtree_hashes_cd, subtree_hashes_cdp};
-use cdat_core::{BasId, CdpAttackTree, NodeType, StructuralHash, TreePatch};
+use cdat_core::{CdpAttackTree, NodeType, StructuralHash, TreePatch};
 use cdat_obs::TraceField;
 use cdat_pareto::{FrontEntry, ParetoFront, Prob, Triple};
 
@@ -398,45 +402,45 @@ impl Engine {
             .collect()
     }
 
-    /// Fetches the validated subtree memo for `key`, or (re)builds it from
-    /// `tree` and stores it — overwriting a memo-less or mismatched entry
-    /// with one whose front is byte-identical. Returns the memo and
-    /// whether it was a memo hit.
+    /// Fetches the validated subtree memo for `key`, or builds it from
+    /// `tree` — the delta path is the only builder — and attaches it to
+    /// the cached entry through [`FrontCache::replace`]. The memoized root
+    /// front is bit-for-bit the plain solve's, so a cached entry keeps its
+    /// own front, solve time and provenance; an uncached key gets a fresh
+    /// entry. Returns the memo and whether it was a memo hit.
+    ///
+    /// [`FrontCache::replace`]: crate::FrontCache::replace
     fn acquire_memo(
         &self,
         key: CacheKey,
         tree: &Arc<CdpAttackTree>,
         kind: FrontKind,
     ) -> (Arc<SubtreeMemo>, bool) {
-        if let Some(entry) = self.tier.memory().touch(&key) {
-            if let Some(memo) = &entry.memo {
-                if memo.matches(tree, kind) {
-                    return (memo.clone(), true);
-                }
+        let cached = self.tier.memory().touch(&key);
+        if let Some(memo) = cached.as_ref().and_then(|entry| entry.memo.as_ref()) {
+            if memo.matches(tree, kind) {
+                return (memo.clone(), true);
             }
         }
         let started = Instant::now();
         let (front, memo) =
             SubtreeMemo::build(kind, tree).expect("family and shape validated by sweep");
         let memo = Arc::new(memo);
-        // Store the root front exactly as a normal miss would: witnesses
-        // re-expressed in canonical BAS positions, so the entry answers
-        // ordinary batch requests too.
-        let canonical = match kind {
-            FrontKind::Deterministic => canonicalize_cd(tree.cd()),
-            _ => canonicalize_cdp(tree),
-        };
-        let position = canonical.positions();
-        let stored = front.map_witnesses(position.len(), |b| BasId::new(position[b.index()]));
         let compute = started.elapsed();
+        if let Some(metrics) = &self.metrics {
+            metrics.family(kind).memo_builds.inc();
+        }
         if let Some(trace) = &self.trace {
             trace.emit("delta_build", compute, &[("kind", TraceField::Str(kind.label()))]);
         }
-        let entry = CachedFront {
-            result: Ok(stored),
-            compute,
-            memo: Some(memo.clone()),
-            backend: Some(crate::SolverBackend::BottomUp),
+        let entry = match cached {
+            Some(entry) => CachedFront { memo: Some(memo.clone()), ..CachedFront::clone(&entry) },
+            None => CachedFront {
+                result: Ok(crate::canonical_witnesses(kind, tree, front)),
+                compute,
+                memo: Some(memo.clone()),
+                backend: Some(crate::SolverBackend::BottomUp),
+            },
         };
         // Memos are memory-only: deliberately no `persist` here.
         self.tier.memory().replace(key, entry);
@@ -485,7 +489,7 @@ fn answer_delta(query: Query, front: ParetoFront, witnesses: bool) -> Response {
 mod tests {
     use super::*;
     use crate::{BatchRequest, FrontCache};
-    use cdat_core::NodeId;
+    use cdat_core::{BasId, NodeId};
 
     fn factory() -> Arc<CdpAttackTree> {
         Arc::new(cdat_models::factory_cdp())
@@ -536,15 +540,33 @@ mod tests {
     }
 
     #[test]
-    fn normal_solves_populate_the_memo_and_sweeps_hit_it() {
+    fn the_first_whatif_builds_the_memo_and_later_ones_hit_it() {
         let base = factory();
         let engine = Engine::new(1);
         engine.run(&[BatchRequest::new(base.clone(), Query::Cdpf)]);
+        let key = CacheKey { hash: hash_cd(base.cd()), kind: FrontKind::Deterministic };
+        let plain = engine.cache().peek(&key).expect("the solve cached its front");
+        assert!(plain.memo.is_none(), "a plain solve leaves the entry memo-less");
+
         let edit = TreePatch { costs: vec![(BasId::new(0), 2.0)], ..Default::default() };
-        let result = engine.whatif(&DeltaRequest::new(base.clone(), Query::Cdpf, edit));
-        assert!(result.memo_hit, "the batch solve must have retained the memo");
-        assert!(result.dirty_nodes >= 2, "the edited leaf and the root are dirty");
-        assert!(result.subtree_hits >= 1, "the sibling subtree front is reused");
+        let request =
+            DeltaRequest::new(base.clone(), Query::Cdpf, edit.clone()).with_witnesses(true);
+        let first = engine.whatif(&request);
+        assert!(!first.memo_hit, "the first what-if on the key builds the memo");
+        let variant = Arc::new(edit.apply(&base).unwrap());
+        let scratch = Engine::new(1)
+            .run(&[BatchRequest::new(variant, Query::Cdpf).with_witnesses(true)])
+            .remove(0);
+        assert_eq!(first.response, scratch.response, "the building what-if answers scratch bytes");
+        let attached = engine.cache().peek(&key).expect("the entry stays cached");
+        assert!(attached.memo.is_some(), "the memo is attached to the cached entry");
+        assert_eq!(attached.result, plain.result, "attaching keeps the plain front");
+
+        let second = engine.whatif(&request);
+        assert!(second.memo_hit, "the second what-if reuses the memo");
+        assert_eq!(second.response, first.response);
+        assert!(second.dirty_nodes >= 2, "the edited leaf and the root are dirty");
+        assert!(second.subtree_hits >= 1, "the sibling subtree front is reused");
 
         // A cold engine builds the memo on the first delta request...
         let cold = Engine::new(1);
@@ -605,9 +627,10 @@ mod tests {
         let base = factory();
         let engine = Engine::new(1);
         engine.run(&[BatchRequest::new(base.clone(), Query::Cdpf)]);
+        engine.whatif(&DeltaRequest::new(base.clone(), Query::Cdpf, TreePatch::default()));
         let key = CacheKey { hash: hash_cd(base.cd()), kind: FrontKind::Deterministic };
         let entry = engine.cache().peek(&key).expect("the solve cached its front");
-        let memo = entry.memo.as_ref().expect("a treelike bottom-up solve retains its memo");
+        let memo = entry.memo.as_ref().expect("the what-if attached its memo");
         assert_eq!(memo.digests()[base.tree().root().index()], key.hash);
         assert_eq!(memo.kind(), FrontKind::Deterministic);
         assert_eq!(memo.digests().len(), base.tree().node_count());
@@ -655,6 +678,9 @@ mod tests {
             assert_eq!(fam.hits + fam.disk_hits + fam.misses, fam.requests);
         }
         assert_eq!(snapshot.families[0].requests, 1, "only the batch request is counted");
+        // The batch solve built no memo; each family's sweep built one.
+        assert_eq!(snapshot.families[0].memo_builds, 1);
+        assert_eq!(snapshot.families[1].memo_builds, 1);
         assert!(snapshot.families[0].subtree_hits > 0);
         assert!(snapshot.families[0].dirty_nodes > 0);
     }

@@ -674,7 +674,11 @@ impl Engine {
                 metrics.queue_wait_us.observe_since(run_started);
             }
             let start = Instant::now();
-            let (result, memo) = compute_entry(key.kind, tree, *backend);
+            // Phase 1 selected the backend, so no shape/size re-checks
+            // happen here. Only the front is kept: a what-if builds the
+            // tree's subtree memo later, on demand (`Engine::sweep`).
+            let result =
+                backend.compute(key.kind, tree).map(|f| canonical_witnesses(key.kind, tree, f));
             let compute = start.elapsed();
             if let Some(metrics) = &self.metrics {
                 metrics.solve_us.observe_duration(compute);
@@ -682,7 +686,7 @@ impl Engine {
             if let Some(trace) = &self.trace {
                 trace.emit("solve", compute, &[("kind", TraceField::Str(key.kind.label()))]);
             }
-            let entry = CachedFront { result, compute, memo, backend: Some(*backend) };
+            let entry = CachedFront { result, compute, memo: None, backend: Some(*backend) };
             let entry = self.tier.memory().insert(*key, entry);
             // Jobs are deduplicated per key, so exactly one worker appends
             // each new front to the disk tier (which is itself
@@ -790,55 +794,18 @@ impl Engine {
     }
 }
 
-/// Computes one cache entry's payload: the front of `kind` plus, when the
-/// solve goes bottom-up on a treelike tree (the only shape with an
-/// incremental path), the [`SubtreeMemo`] retaining every per-subtree
-/// front for later what-if requests ([`Engine::sweep`]). The memoized root
-/// front is bit-for-bit what [`compute_front`] returns — the retained
-/// solve runs the identical recursion, just without discarding the
-/// intermediate staircases — so memoized and plain entries are
-/// interchangeable.
-fn compute_entry(
-    kind: FrontKind,
-    cdp: &Arc<CdpAttackTree>,
-    backend: SolverBackend,
-) -> (Result<ParetoFront, String>, Option<Arc<SubtreeMemo>>) {
-    let memoizable = backend == SolverBackend::BottomUp
-        && matches!(kind, FrontKind::Deterministic | FrontKind::Probabilistic);
-    if memoizable {
-        if let Some((front, memo)) = SubtreeMemo::build(kind, cdp) {
-            let canonical = match kind {
-                FrontKind::Deterministic => canonicalize_cd(cdp.cd()),
-                _ => canonicalize_cdp(cdp),
-            };
-            let position = canonical.positions();
-            let stored = front.map_witnesses(position.len(), |b| BasId::new(position[b.index()]));
-            return (Ok(stored), Some(Arc::new(memo)));
-        }
-    }
-    (compute_front(kind, cdp, backend), None)
-}
-
-/// Computes the front of `kind` with the backend phase 1 selected
-/// ([`SolverBackend::select`]), so no shape/size re-checks happen here.
-///
-/// Witnesses are kept, re-expressed in **canonical BAS positions**: the
-/// cache answers renamed/reordered copies of this tree whose BAS numbering
-/// the raw witnesses would not fit, so witnesses are stored in the
-/// numbering every copy can translate from (see
-/// [`cdat_core::canonical::Canonical`] and [`answer`]).
-fn compute_front(
-    kind: FrontKind,
-    cdp: &CdpAttackTree,
-    backend: SolverBackend,
-) -> Result<ParetoFront, String> {
-    let front = backend.compute(kind, cdp)?;
+/// Re-expresses `front`'s witnesses (in `cdp`'s own numbering) in
+/// **canonical BAS positions**: the cache answers renamed/reordered copies
+/// of this tree whose BAS numbering the raw witnesses would not fit, so
+/// witnesses are stored in the numbering every copy can translate from
+/// (see [`cdat_core::canonical::Canonical`] and [`answer`]).
+fn canonical_witnesses(kind: FrontKind, cdp: &CdpAttackTree, front: ParetoFront) -> ParetoFront {
     let canonical = match kind {
         FrontKind::Deterministic | FrontKind::MinTime => canonicalize_cd(cdp.cd()),
         FrontKind::Probabilistic | FrontKind::MaxProb => canonicalize_cdp(cdp),
     };
     let position = canonical.positions();
-    Ok(front.map_witnesses(position.len(), |b| BasId::new(position[b.index()])))
+    front.map_witnesses(position.len(), |b| BasId::new(position[b.index()]))
 }
 
 /// Answers a query from its (cached) front. `translation`, present exactly
@@ -1117,6 +1084,41 @@ mod tests {
             assert!(stats.points <= 8, "points {} over budget", stats.points);
         }
         assert!(tight.cache().stats().evictions > 0, "30 distinct fronts must evict at budget 8");
+    }
+
+    #[test]
+    fn plain_solves_cache_bare_fronts_without_memos() {
+        use rand::prelude::*;
+        use rand::rngs::StdRng;
+        let mut rng = StdRng::seed_from_u64(77);
+        let suite: Vec<Arc<CdpAttackTree>> = (0..12)
+            .map(|_| {
+                let tree = cdat_gen::random_small(&mut rng, 7, true);
+                Arc::new(cdat_gen::decorate_prob(tree, &mut rng))
+            })
+            .collect();
+        let requests: Vec<BatchRequest> = suite
+            .iter()
+            .flat_map(|t| [Query::Cdpf, Query::Cedpf].map(|q| BatchRequest::new(t.clone(), q)))
+            .collect();
+        let engine = Engine::new(2);
+        engine.run(&requests);
+        let mut keys = std::collections::HashSet::new();
+        for tree in &suite {
+            assert!(tree.tree().is_treelike());
+            keys.insert(CacheKey { hash: hash_cd(tree.cd()), kind: FrontKind::Deterministic });
+            keys.insert(CacheKey { hash: hash_cdp(tree), kind: FrontKind::Probabilistic });
+        }
+        let mut weights = 0;
+        for key in &keys {
+            let entry = engine.cache().peek(key).expect("every front is cached");
+            assert_eq!(entry.backend, Some(SolverBackend::BottomUp));
+            assert!(entry.memo.is_none(), "plain solves never attach a subtree memo");
+            weights += entry.weight();
+        }
+        let stats = engine.stats();
+        assert_eq!(stats.entries, keys.len());
+        assert_eq!(stats.points, weights, "the budget is charged for bare fronts only");
     }
 
     /// The factory shape with permuted BAS numbering *and* fresh names:

@@ -46,6 +46,11 @@ pub struct FamilyCounters {
     /// the tier-counter partition `hits + disk_hits + misses == requests`
     /// ignores the delta path entirely.
     pub delta_requests: Counter,
+    /// Subtree memos built: one per delta request that found no valid
+    /// memo for its tree (the first what-if on a tree, or the first after
+    /// the memo was evicted, shed or lost to a restart). Plain solves
+    /// never build one.
+    pub memo_builds: Counter,
     /// Clean subtree fronts reused from the memo across delta requests.
     pub subtree_hits: Counter,
     /// Nodes re-evaluated (patched nodes plus ancestors) across delta
@@ -116,6 +121,8 @@ pub struct FamilySnapshot {
     pub misses: u64,
     /// See [`FamilyCounters::delta_requests`].
     pub delta_requests: u64,
+    /// See [`FamilyCounters::memo_builds`].
+    pub memo_builds: u64,
     /// See [`FamilyCounters::subtree_hits`].
     pub subtree_hits: u64,
     /// See [`FamilyCounters::dirty_nodes`].
@@ -167,6 +174,7 @@ impl EngineSnapshot {
             acc.disk_hits += fam.disk_hits.get();
             acc.misses += fam.misses.get();
             acc.delta_requests += fam.delta_requests.get();
+            acc.memo_builds += fam.memo_builds.get();
             acc.subtree_hits += fam.subtree_hits.get();
             acc.dirty_nodes += fam.dirty_nodes.get();
         }
@@ -211,6 +219,11 @@ impl EngineSnapshot {
                 &[("family", kind.label())],
                 fam.delta_requests,
             );
+        }
+        type_line(out, "cdat_memo_builds_total", "counter");
+        for kind in FrontKind::ALL {
+            let fam = self.families[kind.index()];
+            sample(out, "cdat_memo_builds_total", &[("family", kind.label())], fam.memo_builds);
         }
         type_line(out, "cdat_subtree_hits_total", "counter");
         for kind in FrontKind::ALL {

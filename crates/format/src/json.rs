@@ -15,6 +15,8 @@
 
 use std::fmt;
 
+use crate::quote;
+
 /// Maximum nesting depth [`parse`] accepts.
 pub const MAX_DEPTH: usize = 64;
 
@@ -233,7 +235,7 @@ impl Parser<'_> {
             self.skip_ws();
             let key = self.string()?;
             if pairs.iter().any(|(k, _)| *k == key) {
-                return Err(format!("duplicate key {key:?}"));
+                return Err(format!("duplicate key {}", quote(&key)));
             }
             self.skip_ws();
             self.expect(b':')?;
@@ -348,9 +350,9 @@ impl Parser<'_> {
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("input was a str");
         let v: f64 =
-            text.parse().map_err(|_| format!("invalid number {text:?} at byte {start}"))?;
+            text.parse().map_err(|_| format!("invalid number {} at byte {start}", quote(text)))?;
         if !v.is_finite() {
-            return Err(format!("number {text:?} overflows f64"));
+            return Err(format!("number {} overflows f64", quote(text)));
         }
         Ok(Value::Num(v))
     }

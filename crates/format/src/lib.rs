@@ -59,3 +59,26 @@ mod writer;
 pub use multi::{parse_multi, write_multi, Document};
 pub use parser::{parse, parse_cd, ParseError};
 pub use writer::{write, write_cd};
+
+/// Characters of request text [`quote`] keeps before truncating.
+const QUOTE_MAX_CHARS: usize = 64;
+
+/// Quotes request text for an error message, so an error line stays small
+/// however large the offending token. Text of at most 64 characters comes
+/// back exactly as `{:?}` formats it; longer text keeps its first 64
+/// characters, then `...` and its full length in bytes.
+///
+/// ```
+/// assert_eq!(cdat_format::quote("cdpf"), "\"cdpf\"");
+/// let long = "x".repeat(1_000);
+/// assert_eq!(cdat_format::quote(&long), format!("{:?}... (1000 bytes)", &long[..64]));
+/// // The cut falls on a character boundary; the length counts bytes.
+/// let wide = "é".repeat(100);
+/// assert_eq!(cdat_format::quote(&wide), format!("{:?}... (200 bytes)", "é".repeat(64)));
+/// ```
+pub fn quote(text: &str) -> String {
+    match text.char_indices().nth(QUOTE_MAX_CHARS) {
+        None => format!("{text:?}"),
+        Some((cut, _)) => format!("{:?}... ({} bytes)", &text[..cut], text.len()),
+    }
+}

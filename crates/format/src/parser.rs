@@ -5,6 +5,8 @@ use std::fmt;
 
 use cdat_core::{AttackTreeBuilder, CdAttackTree, CdpAttackTree, NodeId, NodeType};
 
+use crate::quote;
+
 /// Error while parsing an attack-tree document.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ParseError {
@@ -135,7 +137,7 @@ fn scan(text: &str) -> Result<Vec<Record>, ParseError> {
             other => {
                 return Err(ParseError::at(
                     lineno,
-                    format!("expected bas/or/and/ref, found {other:?}"),
+                    format!("expected bas/or/and/ref, found {}", quote(other)),
                 ))
             }
         };
@@ -152,19 +154,21 @@ fn scan(text: &str) -> Result<Vec<Record>, ParseError> {
         };
         for attr in &parts[2..] {
             let (key, value) = attr.split_once('=').ok_or_else(|| {
-                ParseError::at(lineno, format!("expected key=value, found {attr:?}"))
+                ParseError::at(lineno, format!("expected key=value, found {}", quote(attr)))
             })?;
             let value: f64 = value
                 .parse()
-                .map_err(|_| ParseError::at(lineno, format!("bad number {value:?}")))?;
+                .map_err(|_| ParseError::at(lineno, format!("bad number {}", quote(value))))?;
             let slot = match key {
                 "cost" => &mut rec.cost,
                 "damage" => &mut rec.damage,
                 "prob" => &mut rec.prob,
-                _ => return Err(ParseError::at(lineno, format!("unknown attribute {key:?}"))),
+                _ => {
+                    return Err(ParseError::at(lineno, format!("unknown attribute {}", quote(key))))
+                }
             };
             if slot.replace(value).is_some() {
-                return Err(ParseError::at(lineno, format!("duplicate attribute {key:?}")));
+                return Err(ParseError::at(lineno, format!("duplicate attribute {}", quote(key))));
             }
         }
         // Validate probabilities here, where the line number is still
@@ -201,7 +205,7 @@ fn scan(text: &str) -> Result<Vec<Record>, ParseError> {
                 if records[parent].kind == Kind::Bas {
                     return Err(ParseError::at(
                         lineno,
-                        format!("BAS {:?} cannot have children", records[parent].name),
+                        format!("BAS {} cannot have children", quote(&records[parent].name)),
                     ));
                 }
                 let idx = records.len();
@@ -222,7 +226,7 @@ fn build(records: Vec<Record>) -> Result<CdpAttackTree, ParseError> {
     let mut by_name: HashMap<&str, usize> = HashMap::new();
     for (i, r) in records.iter().enumerate() {
         if r.kind != Kind::Ref && by_name.insert(r.name.as_str(), i).is_some() {
-            return Err(ParseError::at(r.line, format!("duplicate node name {:?}", r.name)));
+            return Err(ParseError::at(r.line, format!("duplicate node name {}", quote(&r.name))));
         }
     }
     // Attribute placement checks.
@@ -232,19 +236,22 @@ fn build(records: Vec<Record>) -> Result<CdpAttackTree, ParseError> {
                 return Err(ParseError::at(
                     r.line,
                     format!(
-                        "cost on gate {:?}: only BASs carry costs (add a dummy BAS child instead)",
-                        r.name
+                        "cost on gate {}: only BASs carry costs (add a dummy BAS child instead)",
+                        quote(&r.name)
                     ),
                 ));
             }
             if r.prob.is_some() {
                 return Err(ParseError::at(
                     r.line,
-                    format!("prob on gate {:?}: only BASs carry probabilities", r.name),
+                    format!("prob on gate {}: only BASs carry probabilities", quote(&r.name)),
                 ));
             }
             if r.children.is_empty() {
-                return Err(ParseError::at(r.line, format!("gate {:?} has no children", r.name)));
+                return Err(ParseError::at(
+                    r.line,
+                    format!("gate {} has no children", quote(&r.name)),
+                ));
             }
         }
     }
@@ -271,7 +278,7 @@ fn build(records: Vec<Record>) -> Result<CdpAttackTree, ParseError> {
                 State::Visiting => {
                     return Err(ParseError::at(
                         r.line,
-                        format!("reference cycle through {:?}", r.name),
+                        format!("reference cycle through {}", quote(&r.name)),
                     ))
                 }
                 State::Unvisited => {}
@@ -287,7 +294,7 @@ fn build(records: Vec<Record>) -> Result<CdpAttackTree, ParseError> {
                         if kids.contains(&kid) {
                             return Err(ParseError::at(
                                 self.records[c].line,
-                                format!("gate {:?} lists the same child twice", r.name),
+                                format!("gate {} lists the same child twice", quote(&r.name)),
                             ));
                         }
                         kids.push(kid);
@@ -309,7 +316,7 @@ fn build(records: Vec<Record>) -> Result<CdpAttackTree, ParseError> {
                 return Ok(i);
             }
             self.by_name.get(r.name.as_str()).copied().ok_or_else(|| {
-                ParseError::at(r.line, format!("ref to undeclared node {:?}", r.name))
+                ParseError::at(r.line, format!("ref to undeclared node {}", quote(&r.name)))
             })
         }
     }
@@ -331,7 +338,7 @@ fn build(records: Vec<Record>) -> Result<CdpAttackTree, ParseError> {
     {
         return Err(ParseError::at(
             r.line,
-            format!("node {:?} is unreachable from the root", r.name),
+            format!("node {} is unreachable from the root", quote(&r.name)),
         ));
     }
 

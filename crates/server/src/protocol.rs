@@ -43,7 +43,7 @@
 //! * `{"op":"whatif","tree":...,"patch":{...}}` — answers the query on
 //!   the *patched* tree incrementally: only the dirty root paths are
 //!   recomputed, every clean subtree front is reused from the memo the
-//!   base tree's normal solve populated. Response bytes are identical to
+//!   first what-if on the base tree built. Response bytes are identical to
 //!   solving the patched tree from scratch.
 //! * `{"op":"sweep","tree":...,"patches":[{...},...]}` — a what-if per
 //!   patch, answered as one response line per patch **in patch order**,
@@ -81,6 +81,7 @@ use std::sync::Arc;
 use cdat_core::{CdpAttackTree, NodeType, TreePatch};
 use cdat_engine::{CacheStats, FrontKind, Query, Response, SolverHint};
 use cdat_format::json::{self, Value};
+use cdat_format::quote;
 use cdat_obs::{histogram_samples, type_line, HistogramSnapshot};
 
 use crate::router::ServerSnapshot;
@@ -172,7 +173,8 @@ pub fn parse_request(line: &str) -> Result<Request, (Value, String)> {
             Some("whatif") => parse_delta(&value, pairs, id, false),
             Some("sweep") => parse_delta(&value, pairs, id, true),
             Some(other) => Err(fail(format!(
-                "unknown op {other:?} (expected \"stats\", \"metrics\", \"whatif\" or \"sweep\")"
+                "unknown op {} (expected \"stats\", \"metrics\", \"whatif\" or \"sweep\")",
+                quote(other)
             ))),
             None => Err(fail("op must be a string".into())),
         };
@@ -183,7 +185,7 @@ pub fn parse_request(line: &str) -> Result<Request, (Value, String)> {
             key.as_str(),
             "id" | "tree" | "suite" | "query" | "arg" | "solver" | "witnesses"
         ) {
-            return Err(fail(format!("unknown request field {key:?}")));
+            return Err(fail(format!("unknown request field {}", quote(key))));
         }
     }
 
@@ -250,7 +252,7 @@ fn parse_delta(
         let known = matches!(key.as_str(), "op" | "id" | "tree" | "query" | "arg" | "witnesses")
             || key == patch_field;
         if !known {
-            return Err(fail(format!("unknown request field {key:?}")));
+            return Err(fail(format!("unknown request field {}", quote(key))));
         }
     }
 
@@ -315,11 +317,13 @@ pub fn parse_patch(spec: &Value, tree: &CdpAttackTree) -> Result<TreePatch, Stri
     };
     let structure = tree.tree();
     let node = |name: &str| {
-        structure.find(name).ok_or_else(|| format!("patch names unknown node {name:?}"))
+        structure.find(name).ok_or_else(|| format!("patch names unknown node {}", quote(name)))
     };
     let bas = |name: &str| {
         node(name).and_then(|v| {
-            structure.bas_of_node(v).ok_or_else(|| format!("{name:?} is not a basic attack step"))
+            structure
+                .bas_of_node(v)
+                .ok_or_else(|| format!("{} is not a basic attack step", quote(name)))
         })
     };
     let mut patch = TreePatch::default();
@@ -364,7 +368,7 @@ pub fn parse_patch(spec: &Value, tree: &CdpAttackTree) -> Result<TreePatch, Stri
                     patch.defends.push(bas(name)?);
                 }
             }
-            other => return Err(format!("unknown patch field {other:?}")),
+            other => return Err(format!("unknown patch field {}", quote(other))),
         }
     }
     Ok(patch)
@@ -403,8 +407,9 @@ pub fn parse_query(name: &str, arg: Option<f64>) -> Result<Query, String> {
         "edgc" => Ok(Query::Edgc(need("budget")?)),
         "cged" => Ok(Query::Cged(need("threshold")?)),
         other => Err(format!(
-            "unknown query {other:?} (expected cdpf, cedpf, dgc, cgd, edgc, cged, min-time or \
-             max-prob)"
+            "unknown query {} (expected cdpf, cedpf, dgc, cgd, edgc, cged, min-time or \
+             max-prob)",
+            quote(other)
         )),
     }
 }
@@ -612,13 +617,14 @@ pub fn stats_line(id: &Value, shards: &[CacheStats], snapshot: &ServerSnapshot) 
         let _ = write!(
             line,
             "\"{}\":{{\"requests\":{},\"hits\":{},\"disk_hits\":{},\"misses\":{},\
-             \"delta_requests\":{},\"subtree_hits\":{},\"dirty_nodes\":{}}}",
+             \"delta_requests\":{},\"memo_builds\":{},\"subtree_hits\":{},\"dirty_nodes\":{}}}",
             kind.label(),
             fam.requests,
             fam.hits,
             fam.disk_hits,
             fam.misses,
             fam.delta_requests,
+            fam.memo_builds,
             fam.subtree_hits,
             fam.dirty_nodes
         );
@@ -931,6 +937,7 @@ mod tests {
         engine.families[FrontKind::Deterministic.index()].hits = 3;
         engine.families[FrontKind::Deterministic.index()].misses = 1;
         engine.families[FrontKind::Deterministic.index()].delta_requests = 6;
+        engine.families[FrontKind::Deterministic.index()].memo_builds = 2;
         engine.families[FrontKind::Deterministic.index()].subtree_hits = 12;
         engine.families[FrontKind::Deterministic.index()].dirty_nodes = 9;
         let dirty = cdat_obs::Histogram::new();
@@ -994,7 +1001,8 @@ mod tests {
         assert!(
             line.contains(
                 "\"families\":{\"deterministic\":{\"requests\":4,\"hits\":3,\"disk_hits\":0,\
-                 \"misses\":1,\"delta_requests\":6,\"subtree_hits\":12,\"dirty_nodes\":9},\
+                 \"misses\":1,\"delta_requests\":6,\"memo_builds\":2,\"subtree_hits\":12,\
+                 \"dirty_nodes\":9},\
                  \"probabilistic\":{\"requests\":0,"
             ),
             "{line}"
@@ -1017,6 +1025,7 @@ mod tests {
             text.contains("cdat_cache_hits_total{family=\"deterministic\",tier=\"memory\"} 3"),
             "{text}"
         );
+        assert!(text.contains("cdat_memo_builds_total{family=\"deterministic\"} 2"), "{text}");
         assert!(text.contains("cdat_queue_wait_us_count 100"), "{text}");
         assert!(text.contains("cdat_queue_wait_us_sum 5050"), "{text}");
         assert!(text.contains("cdat_shard_e2e_us_count{shard=\"1\"} 0"), "{text}");

@@ -129,8 +129,8 @@ pub struct RouteRequest {
 
 /// One routed what-if job: the base tree, the query, and the patches
 /// whose variants to answer. The job routes to the shard owning the
-/// *base* tree's cache slice — that shard's memo (populated by the base
-/// tree's normal solves) answers every clean subtree — and streams one
+/// *base* tree's cache slice — that shard's memo (built by the first
+/// what-if on the base tree) answers every clean subtree — and streams one
 /// reply per patch, in patch order, at consecutive sequence numbers.
 #[derive(Clone, Debug)]
 pub struct DeltaRouteRequest {
@@ -314,8 +314,10 @@ impl Router {
 
     /// Routes one what-if job to the shard owning its base tree's cache
     /// slice (the routing hash is the base hash, so the job meets the
-    /// memo its base tree's normal solves populated). The reply sender
-    /// receives one `(seq + k, line)` per patch `k`, in patch order.
+    /// memo an earlier what-if on its base tree built, and a first what-if
+    /// attaches its memo to the entry its base tree's solves cached). The
+    /// reply sender receives one `(seq + k, line)` per patch `k`, in patch
+    /// order.
     ///
     /// Deltas bypass the micro-batching dispatcher: a sweep is already a
     /// batch, and holding it for a window would only delay its first
@@ -610,7 +612,8 @@ mod tests {
         use cdat_core::BasId;
         let router = router(4, None);
         let tree = Arc::new(cdat_models::factory_cdp());
-        // A normal solve populates the owning shard's subtree memo.
+        // A normal solve caches the bare front; the sweep builds the
+        // owning shard's subtree memo and attaches it to that entry.
         router.solve(vec![request(tree.clone(), Query::Cdpf, 99)]);
         let patches: Vec<TreePatch> = (1..=5)
             .map(|i| TreePatch {

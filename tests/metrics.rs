@@ -107,7 +107,8 @@ fn delta_counters_stay_out_of_the_tier_partition_and_tie_to_their_histogram() {
     use cdat::BasId;
     let router =
         Router::new(RouterConfig { shards: 3, ..RouterConfig::default() }).expect("memory router");
-    // Normal solves first: they populate the subtree memos.
+    // Normal solves first: they cache bare fronts, so each tree's first
+    // sweep below builds that tree's subtree memo.
     router.solve(requests(8, 3));
 
     // One sweep per distinct tree: 5 valid patches plus one invalid
@@ -134,6 +135,8 @@ fn delta_counters_stay_out_of_the_tier_partition_and_tie_to_their_histogram() {
     let families = &snapshot.engine.families;
     let delta_requests: u64 = families.iter().map(|f| f.delta_requests).sum();
     assert_eq!(delta_requests, (trees.len() * patches.len()) as u64);
+    let memo_builds: u64 = families.iter().map(|f| f.memo_builds).sum();
+    assert_eq!(memo_builds, trees.len() as u64, "one memo build per distinct tree swept");
     assert!(families.iter().map(|f| f.subtree_hits).sum::<u64>() > 0);
     assert!(families.iter().map(|f| f.dirty_nodes).sum::<u64>() > 0);
 
@@ -160,12 +163,17 @@ fn delta_counters_stay_out_of_the_tier_partition_and_tie_to_their_histogram() {
     let stats = protocol::stats_line(&json::Value::Num(1.0), &router.stats(), &snapshot);
     assert!(json::parse(&stats).is_ok(), "{stats}");
     assert!(stats.contains("\"delta_requests\":"), "{stats}");
+    assert!(stats.contains(&format!("\"memo_builds\":{memo_builds},")), "{stats}");
     assert!(stats.contains("\"dirty_path_len\":"), "{stats}");
     let text = protocol::metrics_text(&snapshot);
     assert!(
         text.contains(&format!(
             "cdat_delta_requests_total{{family=\"deterministic\"}} {delta_requests}"
         )),
+        "{text}"
+    );
+    assert!(
+        text.contains(&format!("cdat_memo_builds_total{{family=\"deterministic\"}} {memo_builds}")),
         "{text}"
     );
     assert!(text.contains("cdat_dirty_path_len_count"), "{text}");

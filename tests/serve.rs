@@ -316,6 +316,28 @@ fn tcp_serve_and_query_client_match_batch() {
 
 /// Protocol-level odds and ends over stdio: solver hints, parse errors
 /// with echoed ids, suite requests, and the stats op shape.
+/// Hostile request text gets one bounded error line: a megabyte-long op
+/// name, query name or tree-line keyword is quoted truncated (its first
+/// characters, `...` and its byte length), never echoed whole.
+#[test]
+fn oversized_request_text_answers_one_short_error_line() {
+    let big = "x".repeat(1 << 20);
+    let input = format!(
+        "{{\"id\":0,\"op\":\"{big}\"}}\n\
+         {{\"id\":1,\"tree\":\"or g damage=7\\n  bas x cost=3\\n\",\"query\":\"{big}\"}}\n\
+         {{\"id\":2,\"tree\":\"{big} g\\n\"}}\n"
+    );
+    let mut lines = serve_stdio(&["--workers", "2"], input);
+    lines.sort_by_key(|line| int_field(line, "id"));
+    assert_eq!(lines.len(), 3, "one answer per request");
+    for (line, what) in lines.iter().zip(["unknown op", "unknown query", "found"]) {
+        assert!(line.len() < 1024, "a {}-byte error line: {line:.200}", line.len());
+        assert!(line.contains("\"error\":"), "{line}");
+        assert!(line.contains(what), "{line}");
+        assert!(line.contains("... (1048576 bytes)"), "{line}");
+    }
+}
+
 #[test]
 fn stdio_protocol_handles_hints_errors_and_suites() {
     let input = concat!(
