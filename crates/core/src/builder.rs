@@ -119,17 +119,19 @@ impl AttackTreeBuilder {
             }
         }
         let mut parents: Vec<Vec<NodeId>> = vec![Vec::new(); n];
+        // The last gate that listed each node: a child stamped with the
+        // current gate is listed twice.
+        let mut last_parent = vec![usize::MAX; n];
         for (i, ch) in self.children.iter().enumerate() {
             let v = NodeId::from_index(i);
             if self.types[i].is_gate() && ch.is_empty() {
                 return Err(BuildError::EmptyGate(self.names[i].clone()));
             }
-            let mut local = HashSet::with_capacity(ch.len());
             for &c in ch {
                 if c.index() >= n {
                     return Err(BuildError::ForeignChild(self.names[i].clone()));
                 }
-                if !local.insert(c) {
+                if std::mem::replace(&mut last_parent[c.index()], i) == i {
                     return Err(BuildError::DuplicateChild {
                         gate: self.names[i].clone(),
                         child: self.names[c.index()].clone(),

@@ -3,8 +3,9 @@
 //! The workspace is std-only (no serde), but the serving front-end speaks
 //! newline-delimited JSON. This module provides the small subset needed:
 //! a strict parser into a [`Value`] tree, a renderer that round-trips
-//! values (used to echo request ids verbatim), and the two primitives the
-//! CLI's hand-rolled JSON writers share ([`escape`], [`num`]).
+//! values (used to echo request ids verbatim), and the primitives the
+//! hand-rolled JSON writers share ([`escape`], [`num`] and its appending
+//! form [`push_num`], [`push_uint`]).
 //!
 //! The parser is strict about structure: no trailing garbage, no
 //! NaN/Infinity, no comments, no duplicate object keys, and string escapes
@@ -128,7 +129,42 @@ pub fn escape(s: &str) -> String {
 /// never produces exponents, infinities or NaN for the finite attribute
 /// values this workspace handles).
 pub fn num(v: f64) -> String {
-    format!("{v}")
+    let mut out = String::new();
+    push_num(&mut out, v);
+    out
+}
+
+/// Appends [`num`]'s rendering of `v` to `out`: the bytes of `f64`'s
+/// `Display`. Integral values below 2^53 in magnitude, the common case
+/// for costs and damages, skip the float formatter; their `Display` is
+/// the sign (kept for `-0`) and the integer's digits.
+pub fn push_num(out: &mut String, v: f64) {
+    const EXACT: f64 = 9_007_199_254_740_992.0; // 2^53
+    if v.fract() == 0.0 && v.abs() < EXACT {
+        if v.is_sign_negative() {
+            out.push('-');
+        }
+        // Truncation is exact: `v` is integral and below 2^53.
+        push_uint(out, v.abs() as u64);
+    } else {
+        use fmt::Write as _;
+        let _ = write!(out, "{v}");
+    }
+}
+
+/// Appends the decimal digits of `n` to `out`.
+pub fn push_uint(out: &mut String, mut n: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
 }
 
 /// Parses one complete JSON value; trailing non-whitespace is an error.
@@ -457,5 +493,39 @@ mod tests {
         assert_eq!(num(10.0), "10");
         assert_eq!(num(0.5), "0.5");
         assert_eq!(num(-3.25), "-3.25");
+    }
+
+    #[test]
+    fn num_keeps_the_bytes_of_display() {
+        let exact = 9_007_199_254_740_992.0; // 2^53, the integral fast path's bound
+        for v in [
+            0.0,
+            -0.0,
+            1.0,
+            -1.0,
+            9.0,
+            10.0,
+            99.0,
+            100.0,
+            0.1 + 0.2,
+            2.5,
+            1e15,
+            1e16,
+            1e21,
+            1e22,
+            -1e21,
+            exact - 1.0,
+            exact,
+            exact + 2.0,
+            f64::MAX,
+            f64::MIN_POSITIVE,
+            u64::MAX as f64,
+        ] {
+            assert_eq!(num(v), format!("{v}"), "{v:e}");
+        }
+        let mut out = String::from("x");
+        push_uint(&mut out, 0);
+        push_uint(&mut out, u64::MAX);
+        assert_eq!(out, format!("x0{}", u64::MAX));
     }
 }

@@ -1,5 +1,6 @@
 //! Parsing the text format.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -45,11 +46,13 @@ enum Kind {
     Ref,
 }
 
+/// One node line. The name borrows from the document text (it is owned
+/// only when a quoted name carried an escape) until the builder copies it.
 #[derive(Clone, Debug)]
-struct Record {
+struct Record<'a> {
     line: usize,
     kind: Kind,
-    name: String,
+    name: Cow<'a, str>,
     cost: Option<f64>,
     damage: Option<f64>,
     prob: Option<f64>,
@@ -78,58 +81,110 @@ pub fn parse_cd(text: &str) -> Result<CdAttackTree, ParseError> {
     parse(text).map(|cdp| cdp.cd().clone())
 }
 
-/// Splits a line into whitespace-separated fields, honoring double quotes
-/// with backslash escapes.
-fn fields(line: &str, lineno: usize) -> Result<Vec<String>, ParseError> {
-    let mut out = Vec::new();
-    let mut chars = line.chars().peekable();
-    while let Some(&c) = chars.peek() {
-        if c.is_whitespace() {
-            chars.next();
-        } else if c == '#' {
-            break; // trailing comment
-        } else if c == '"' {
-            chars.next();
-            let mut s = String::new();
-            loop {
-                match chars.next() {
-                    None => return Err(ParseError::at(lineno, "unterminated quoted name")),
-                    Some('"') => break,
-                    Some('\\') => match chars.next() {
-                        Some(e @ ('"' | '\\')) => s.push(e),
-                        _ => return Err(ParseError::at(lineno, "bad escape in quoted name")),
-                    },
-                    Some(other) => s.push(other),
-                }
-            }
-            out.push(s);
-        } else {
-            let mut s = String::new();
-            while let Some(&c) = chars.peek() {
-                if c.is_whitespace() || c == '#' {
-                    break;
-                }
-                s.push(c);
-                chars.next();
-            }
-            out.push(s);
-        }
+/// Classifies the character starting at byte `at` of `line`: whether it is
+/// whitespace by [`char::is_whitespace`], and its length in bytes. ASCII
+/// bytes are classified directly: space and `\t \n \x0B \x0C \r` (unlike
+/// [`u8::is_ascii_whitespace`], which leaves out `\x0B`).
+#[inline]
+fn char_at(line: &str, at: usize) -> (bool, usize) {
+    let b = line.as_bytes()[at];
+    if b.is_ascii() {
+        return (matches!(b, b' ' | b'\t'..=b'\r'), 1);
     }
-    Ok(out)
+    let c = line[at..].chars().next().expect("the scan stops on character boundaries");
+    (c.is_whitespace(), c.len_utf8())
 }
 
-fn scan(text: &str) -> Result<Vec<Record>, ParseError> {
-    let mut records: Vec<Record> = Vec::new();
+/// Splits a line into whitespace-separated fields, honoring double quotes
+/// with backslash escapes; `#` outside quotes starts a comment. `out` is
+/// cleared first, so one buffer serves a whole document. Fields borrow
+/// from `line`, except a quoted name with escapes.
+fn fields<'a>(line: &'a str, lineno: usize, out: &mut Vec<Cow<'a, str>>) -> Result<(), ParseError> {
+    out.clear();
+    let bytes = line.as_bytes();
+    let mut i = 0;
+    while i < bytes.len() {
+        let (space, len) = char_at(line, i);
+        if space {
+            i += len;
+            continue;
+        }
+        match bytes[i] {
+            b'#' => break,
+            b'"' => {
+                let (field, end) = quoted(line, i + 1, lineno)?;
+                out.push(field);
+                i = end;
+            }
+            _ => {
+                let start = i;
+                while i < bytes.len() && bytes[i] != b'#' {
+                    let (space, len) = char_at(line, i);
+                    if space {
+                        break;
+                    }
+                    i += len;
+                }
+                out.push(Cow::Borrowed(&line[start..i]));
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Scans the quoted name that starts at byte `start`, just after its
+/// opening quote; returns the name and the byte index after the closing
+/// quote. `"` and `\` are ASCII, so they never occur inside a multi-byte
+/// character.
+fn quoted(line: &str, start: usize, lineno: usize) -> Result<(Cow<'_, str>, usize), ParseError> {
+    let bytes = line.as_bytes();
+    // The unescaped name so far, once an escape forces a copy; `run` is
+    // where the bytes not yet copied into it begin.
+    let mut owned: Option<String> = None;
+    let mut run = start;
+    let mut i = start;
+    loop {
+        match bytes.get(i) {
+            None => return Err(ParseError::at(lineno, "unterminated quoted name")),
+            Some(b'"') => {
+                let name = match owned {
+                    None => Cow::Borrowed(&line[start..i]),
+                    Some(mut name) => {
+                        name.push_str(&line[run..i]);
+                        Cow::Owned(name)
+                    }
+                };
+                return Ok((name, i + 1));
+            }
+            Some(b'\\') => {
+                let escaped = match bytes.get(i + 1) {
+                    Some(&e @ (b'"' | b'\\')) => char::from(e),
+                    _ => return Err(ParseError::at(lineno, "bad escape in quoted name")),
+                };
+                let name = owned.get_or_insert_with(String::new);
+                name.push_str(&line[run..i]);
+                name.push(escaped);
+                i += 2;
+                run = i;
+            }
+            Some(_) => i += 1,
+        }
+    }
+}
+
+fn scan(text: &str) -> Result<Vec<Record<'_>>, ParseError> {
+    let mut records: Vec<Record<'_>> = Vec::new();
     // Stack of (indent, record index) along the current root-to-leaf path.
     let mut stack: Vec<(usize, usize)> = Vec::new();
+    let mut parts: Vec<Cow<'_, str>> = Vec::new();
     for (i, raw) in text.lines().enumerate() {
         let lineno = i + 1;
         let indent = raw.len() - raw.trim_start().len();
-        let parts = fields(raw, lineno)?;
+        fields(raw, lineno, &mut parts)?;
         if parts.is_empty() {
             continue;
         }
-        let kind = match parts[0].as_str() {
+        let kind = match &*parts[0] {
             "bas" => Kind::Bas,
             "or" => Kind::Or,
             "and" => Kind::And,
@@ -141,8 +196,10 @@ fn scan(text: &str) -> Result<Vec<Record>, ParseError> {
                 ))
             }
         };
-        let name =
-            parts.get(1).cloned().ok_or_else(|| ParseError::at(lineno, "missing node name"))?;
+        let name = match parts.get_mut(1) {
+            Some(name) => std::mem::take(name),
+            None => return Err(ParseError::at(lineno, "missing node name")),
+        };
         let mut rec = Record {
             line: lineno,
             kind,
@@ -221,11 +278,11 @@ fn scan(text: &str) -> Result<Vec<Record>, ParseError> {
     Ok(records)
 }
 
-fn build(records: Vec<Record>) -> Result<CdpAttackTree, ParseError> {
+fn build(records: Vec<Record<'_>>) -> Result<CdpAttackTree, ParseError> {
     // Resolve names: every non-ref record declares one.
-    let mut by_name: HashMap<&str, usize> = HashMap::new();
+    let mut by_name: HashMap<&str, usize> = HashMap::with_capacity(records.len());
     for (i, r) in records.iter().enumerate() {
-        if r.kind != Kind::Ref && by_name.insert(r.name.as_str(), i).is_some() {
+        if r.kind != Kind::Ref && by_name.insert(&r.name, i).is_some() {
             return Err(ParseError::at(r.line, format!("duplicate node name {}", quote(&r.name))));
         }
     }
@@ -265,7 +322,7 @@ fn build(records: Vec<Record>) -> Result<CdpAttackTree, ParseError> {
         Done(NodeId),
     }
     struct Emit<'a> {
-        records: &'a [Record],
+        records: &'a [Record<'a>],
         by_name: &'a HashMap<&'a str, usize>,
         builder: AttackTreeBuilder,
         state: Vec<State>,
@@ -315,7 +372,7 @@ fn build(records: Vec<Record>) -> Result<CdpAttackTree, ParseError> {
             if r.kind != Kind::Ref {
                 return Ok(i);
             }
-            self.by_name.get(r.name.as_str()).copied().ok_or_else(|| {
+            self.by_name.get(&*r.name).copied().ok_or_else(|| {
                 ParseError::at(r.line, format!("ref to undeclared node {}", quote(&r.name)))
             })
         }
@@ -504,5 +561,70 @@ or root
     fn parse_cd_drops_probabilities() {
         let cd = parse_cd(FACTORY).unwrap();
         assert_eq!(cd.max_damage(), 310.0);
+    }
+
+    /// Cost of the BAS named `name` (0 when the document gave none).
+    fn cost_of(cdp: &CdpAttackTree, name: &str) -> f64 {
+        let t = cdp.tree();
+        cdp.cd().cost(t.bas_of_node(t.find(name).expect("node exists")).expect("a BAS"))
+    }
+
+    #[test]
+    fn unicode_whitespace_indents_by_its_byte_length() {
+        // NBSP (2 bytes) and EM SPACE (3 bytes) are whitespace like a space.
+        let cdp = parse("or r\n\u{a0}bas a cost=1\n\u{a0}bas b cost=2").unwrap();
+        assert_eq!(cdp.tree().children(cdp.tree().root()).len(), 2);
+        let cdp = parse("or r\n\u{2003}\u{2003}bas a\n\u{2003}\u{2003}bas b").unwrap();
+        assert_eq!(cdp.tree().children(cdp.tree().root()).len(), 2);
+        // Indentation is counted in bytes: one NBSP sits level with two
+        // spaces, so `a` is a sibling of `g`, not its child.
+        let err = parse("or r\n  and g\n\u{a0}bas a").unwrap_err();
+        assert_eq!(err.to_string(), "line 2: gate \"g\" has no children");
+    }
+
+    #[test]
+    fn ascii_bytes_classify_like_char_is_whitespace() {
+        for b in 0..=0x7Fu8 {
+            let line = char::from(b).to_string();
+            assert_eq!(char_at(&line, 0), (char::from(b).is_whitespace(), 1), "byte {b:#04x}");
+        }
+        for c in ['\u{85}', '\u{a0}', '\u{2003}', '\u{3000}', '\u{200b}', 'é', '😀'] {
+            let line = c.to_string();
+            assert_eq!(char_at(&line, 0), (c.is_whitespace(), c.len_utf8()), "{c:?}");
+        }
+    }
+
+    #[test]
+    fn vertical_tab_separates_fields() {
+        let cdp = parse("or r\n  bas\x0Ba\x0Bcost=1").unwrap();
+        assert_eq!(cost_of(&cdp, "a"), 1.0);
+    }
+
+    #[test]
+    fn comments_cut_bare_fields_but_not_quoted_ones() {
+        // `#` ends the bare name `x` and the rest of the line.
+        let cdp = parse("or r\n  bas x#c cost=1").unwrap();
+        assert_eq!(cost_of(&cdp, "x"), 0.0);
+        let cdp = parse("or r\n  bas \"a # b\" cost=1").unwrap();
+        assert_eq!(cost_of(&cdp, "a # b"), 1.0);
+    }
+
+    #[test]
+    fn a_closing_quote_ends_the_field() {
+        let cdp = parse("or r\n  bas \"a\"cost=1").unwrap();
+        assert_eq!(cost_of(&cdp, "a"), 1.0);
+    }
+
+    #[test]
+    fn crlf_line_endings_parse_like_lf() {
+        let cdp = parse("or r damage=5\r\n  bas a cost=1\r\n").unwrap();
+        assert_eq!(cdp.cd().damage(cdp.tree().root()), 5.0);
+        assert_eq!(cost_of(&cdp, "a"), 1.0);
+    }
+
+    #[test]
+    fn the_whole_line_is_tokenized_before_the_keyword_check() {
+        let err = parse("or root\n  zap \"x").unwrap_err();
+        assert_eq!(err.to_string(), "line 2: unterminated quoted name");
     }
 }

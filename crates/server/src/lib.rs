@@ -83,4 +83,4 @@ pub use router::{
     DeltaRouteRequest, DispatchMetrics, Reply, RouteRequest, Router, RouterConfig, ServerSnapshot,
     ShardTelemetry,
 };
-pub use serve::{serve_stdio, serve_tcp, ServeConfig};
+pub use serve::{serve_stdio, serve_tcp, ServeConfig, MAX_REQUEST_LINE};

@@ -78,11 +78,12 @@
 
 use std::sync::Arc;
 
-use cdat_core::{CdpAttackTree, NodeType, TreePatch};
+use cdat_core::{Attack, CdpAttackTree, NodeType, TreePatch};
 use cdat_engine::{CacheStats, FrontKind, Query, Response, SolverHint};
 use cdat_format::json::{self, Value};
 use cdat_format::quote;
 use cdat_obs::{histogram_samples, type_line, HistogramSnapshot};
+use cdat_pareto::CostDamage;
 
 use crate::router::ServerSnapshot;
 
@@ -439,25 +440,39 @@ pub fn query_fragment(query: Query) -> String {
 
 /// Renders a response body fragment — `,"front":...`, `,"point":...` or
 /// `,"error":...` — exactly as `cdat batch` prints it (shared bytes are
-/// what makes serve output diffable against batch output).
+/// what makes serve output diffable against batch output). See
+/// [`write_body`], which appends the same bytes to a line being built.
+pub fn body_fragment(response: &Response) -> String {
+    let mut s = String::new();
+    write_body(&mut s, response);
+    s
+}
+
+/// Appends the body fragment of `response` (see [`body_fragment`]) to
+/// `s`, so a response line grows in one buffer from prefix to `}`.
 ///
 /// When the response carries witnesses (the request opted in), fronts gain
 /// a `witnesses` array parallel to `front` — one ascending BAS-id array
 /// per point — and single optima gain a `witness` array. Responses without
 /// witnesses render byte-identically to the pre-witness protocol.
-pub fn body_fragment(response: &Response) -> String {
-    use std::fmt::Write as _;
-    let write_witness = |s: &mut String, witness: &cdat_core::Attack| {
+pub fn write_body(s: &mut String, response: &Response) {
+    let point = |s: &mut String, p: CostDamage| {
         s.push('[');
-        for (i, b) in witness.iter().enumerate() {
+        json::push_num(s, p.cost);
+        s.push(',');
+        json::push_num(s, p.damage);
+        s.push(']');
+    };
+    let witness = |s: &mut String, attack: &Attack| {
+        s.push('[');
+        for (i, b) in attack.iter().enumerate() {
             if i > 0 {
                 s.push(',');
             }
-            let _ = write!(s, "{}", b.index());
+            json::push_uint(s, b.index() as u64);
         }
         s.push(']');
     };
-    let mut s = String::new();
     match response {
         Response::Front(front) => {
             s.push_str(",\"front\":[");
@@ -465,7 +480,7 @@ pub fn body_fragment(response: &Response) -> String {
                 if i > 0 {
                     s.push(',');
                 }
-                let _ = write!(s, "[{},{}]", json::num(p.cost), json::num(p.damage));
+                point(s, p);
             }
             s.push(']');
             if front.entries().iter().any(|e| e.witness.is_some()) {
@@ -475,7 +490,7 @@ pub fn body_fragment(response: &Response) -> String {
                         s.push(',');
                     }
                     match &e.witness {
-                        Some(w) => write_witness(&mut s, w),
+                        Some(w) => witness(s, w),
                         None => s.push_str("null"),
                     }
                 }
@@ -483,28 +498,30 @@ pub fn body_fragment(response: &Response) -> String {
             }
         }
         Response::Entry(Some(e)) => {
-            let p = e.point;
-            let _ = write!(s, ",\"point\":[{},{}]", json::num(p.cost), json::num(p.damage));
+            s.push_str(",\"point\":");
+            point(s, e.point);
             if let Some(w) = &e.witness {
                 s.push_str(",\"witness\":");
-                write_witness(&mut s, w);
+                witness(s, w);
             }
         }
         Response::Entry(None) => s.push_str(",\"point\":null"),
         Response::Value(Some(e)) => {
             // Scalar optima store the value in the entry's cost slot.
-            let _ = write!(s, ",\"value\":{}", json::num(e.point.cost));
+            s.push_str(",\"value\":");
+            json::push_num(s, e.point.cost);
             if let Some(w) = &e.witness {
                 s.push_str(",\"witness\":");
-                write_witness(&mut s, w);
+                witness(s, w);
             }
         }
         Response::Value(None) => s.push_str(",\"value\":null"),
         Response::Error(message) => {
-            let _ = write!(s, ",\"error\":\"{}\"", json::escape(message));
+            s.push_str(",\"error\":\"");
+            s.push_str(&json::escape(message));
+            s.push('"');
         }
     }
-    s
 }
 
 /// Renders the opening of a response line, up to (and excluding) the body
@@ -903,6 +920,34 @@ mod tests {
         assert_eq!(
             body_fragment(&Response::Entry(Some(entry))),
             ",\"point\":[3,210],\"witness\":[1]"
+        );
+    }
+
+    #[test]
+    fn body_bytes_are_pinned() {
+        use cdat_core::{Attack, BasId};
+        use cdat_pareto::{FrontEntry, ParetoFront};
+        let attack = |ids: &[usize]| Attack::from_bas_ids(1001, ids.iter().map(|&i| BasId::new(i)));
+        let front = ParetoFront::from_entries([
+            FrontEntry::with_witness(0.0, 0.0, attack(&[])),
+            FrontEntry::with_witness(0.1 + 0.2, 2.5, attack(&[9, 10])),
+            FrontEntry::point(2.5, 1e16),
+            FrontEntry::with_witness(1e16, 1e21, attack(&[99, 100, 1000])),
+        ]);
+        assert_eq!(
+            body_fragment(&Response::Front(front)),
+            ",\"front\":[[0,0],[0.30000000000000004,2.5],[2.5,10000000000000000],\
+             [10000000000000000,1000000000000000000000]],\
+             \"witnesses\":[[],[9,10],null,[99,100,1000]]"
+        );
+        let entry = FrontEntry::with_witness(1e21, 0.1 + 0.2, attack(&[1000]));
+        assert_eq!(
+            body_fragment(&Response::Entry(Some(entry.clone()))),
+            ",\"point\":[1000000000000000000000,0.30000000000000004],\"witness\":[1000]"
+        );
+        assert_eq!(
+            body_fragment(&Response::Value(Some(entry))),
+            ",\"value\":1000000000000000000000,\"witness\":[1000]"
         );
     }
 

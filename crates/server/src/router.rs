@@ -30,7 +30,7 @@ use cdat_engine::{
 };
 use cdat_obs::{Histogram, HistogramSnapshot, TraceWriter};
 
-use crate::protocol::body_fragment;
+use crate::protocol::write_body;
 
 /// Router configuration.
 #[derive(Clone, Debug)]
@@ -449,7 +449,9 @@ fn shard_loop(rx: Receiver<ShardMsg>, engine: Engine, telemetry: Arc<ShardTeleme
                     .collect();
                 let results = engine.run(&requests);
                 for ((seq, job, reply, _), result) in jobs.into_iter().zip(results) {
-                    let line = format!("{}{}}}", job.prefix, body_fragment(&result.response));
+                    let mut line = job.prefix;
+                    write_body(&mut line, &result.response);
+                    line.push('}');
                     // The receiver may be gone (client hung up): drop the
                     // response, keep serving.
                     let _ = reply.send((seq, line));
@@ -465,7 +467,9 @@ fn shard_loop(rx: Receiver<ShardMsg>, engine: Engine, telemetry: Arc<ShardTeleme
                     .with_hash(hash);
                 let results = engine.sweep(&request);
                 for (k, (result, prefix)) in results.into_iter().zip(job.prefixes).enumerate() {
-                    let line = format!("{}{}}}", prefix, body_fragment(&result.response));
+                    let mut line = prefix;
+                    write_body(&mut line, &result.response);
+                    line.push('}');
                     let _ = reply.send((seq + k as u64, line));
                     telemetry.e2e_us.observe_since(started);
                 }

@@ -20,13 +20,14 @@
 //! count, because every solver is deterministic and cache entries are
 //! keyed canonically.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::TcpListener;
 use std::path::PathBuf;
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use cdat_format::json::Value;
 use cdat_obs::{TraceField, TraceWriter};
 
 use crate::protocol::{
@@ -132,30 +133,111 @@ fn dispatch_loop(router: Arc<Router>, rx: Receiver<Job>, batch_max: usize, windo
     }
 }
 
+/// The longest request line the server reads, in bytes, not counting its
+/// `\n`. A longer line is answered with one short error line and skipped
+/// up to its newline without being buffered.
+pub const MAX_REQUEST_LINE: usize = 16 << 20;
+
+/// One line of input, as [`next_line`] reads it.
+enum Line<'a> {
+    /// A request line, without its line ending.
+    Request(&'a str),
+    /// A line answered with this error instead of being parsed.
+    Bad(String),
+    /// End of input, or a read error: the session is over.
+    End,
+}
+
+/// Reads the next line into `buf` and strips its `\n` and a `\r` before
+/// it, as [`BufRead::lines`] does. A line longer than [`MAX_REQUEST_LINE`]
+/// is consumed to its newline but not kept, and a line that is not UTF-8
+/// is reported, not returned: neither ends the session.
+fn next_line<'a, R: BufRead>(reader: &mut R, buf: &'a mut Vec<u8>) -> Line<'a> {
+    buf.clear();
+    let limit = MAX_REQUEST_LINE as u64 + 1;
+    match reader.by_ref().take(limit).read_until(b'\n', buf) {
+        Ok(0) | Err(_) => return Line::End,
+        Ok(_) => {}
+    }
+    if buf.last() == Some(&b'\n') {
+        buf.pop();
+        if buf.last() == Some(&b'\r') {
+            buf.pop();
+        }
+    } else if buf.len() > MAX_REQUEST_LINE {
+        if skip_line(reader).is_err() {
+            return Line::End;
+        }
+        return Line::Bad(format!("request line longer than {MAX_REQUEST_LINE} bytes"));
+    }
+    match std::str::from_utf8(buf) {
+        Ok(line) => Line::Request(line),
+        Err(e) => Line::Bad(format!(
+            "request line is not valid UTF-8 (invalid byte at {})",
+            e.valid_up_to()
+        )),
+    }
+}
+
+/// Consumes input up to and including the next `\n` (or to the end),
+/// without keeping it.
+fn skip_line<R: BufRead>(reader: &mut R) -> std::io::Result<()> {
+    loop {
+        let available = match reader.fill_buf() {
+            Ok(available) => available,
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        if available.is_empty() {
+            return Ok(());
+        }
+        match available.iter().position(|&b| b == b'\n') {
+            Some(at) => {
+                reader.consume(at + 1);
+                return Ok(());
+            }
+            None => {
+                let len = available.len();
+                reader.consume(len);
+            }
+        }
+    }
+}
+
 /// Reads requests line by line, answering control and error lines
-/// immediately and submitting solve jobs to the dispatcher.
+/// immediately and submitting solve jobs to the dispatcher. Every line
+/// gets an answer: an oversized or non-UTF-8 line gets an error line with
+/// a `null` id, and reading goes on.
 ///
 /// `seq` numbers this reader's jobs (ordering within `Router::solve`-style
 /// gathers; streamed writers ignore it).
 fn read_loop<R: BufRead>(
-    reader: R,
+    mut reader: R,
     router: &Router,
     batcher: &Sender<Job>,
     reply: &Sender<Reply>,
     seq: &mut u64,
     trace: Option<&TraceWriter>,
 ) {
-    for line in reader.lines() {
-        let Ok(line) = line else { return };
-        if line.trim().is_empty() {
-            continue;
-        }
+    let mut buf = Vec::new();
+    loop {
         let mut next_seq = || {
             *seq += 1;
             *seq
         };
+        let line = match next_line(&mut reader, &mut buf) {
+            Line::Request(line) => line,
+            Line::Bad(message) => {
+                let _ = reply.send((next_seq(), error_line(&Value::Null, &message)));
+                continue;
+            }
+            Line::End => return,
+        };
+        if line.trim().is_empty() {
+            continue;
+        }
         let parse_started = Instant::now();
-        let parsed = parse_request(&line);
+        let parsed = parse_request(line);
         if let Some(trace) = trace {
             trace.emit(
                 "parse",

@@ -608,7 +608,7 @@ fn render_result(
     }
     let _ = write!(s, ",{}", protocol::query_fragment(request.query));
     let _ = write!(s, ",\"cache\":\"{}\"", if result.cache_hit { "hit" } else { "miss" });
-    s.push_str(&protocol::body_fragment(&result.response));
+    protocol::write_body(&mut s, &result.response);
     if timings {
         // `micros` is this run's solver time (zero on a cache hit);
         // `compute_us` is the answering front's original solve cost, so

@@ -214,3 +214,50 @@ fn expected_damage_matches_naive() {
         assert!((fast - naive).abs() < 1e-9, "case {case}");
     }
 }
+
+/// Rebuilds `cdp` with every node renamed from a pool of names that need
+/// quoting, escapes or non-ASCII bytes in the text format.
+fn with_awkward_names(cdp: &CdpAttackTree, rng: &mut StdRng) -> CdpAttackTree {
+    const STEMS: [&str; 8] = ["n", "a b ", "q\"", "h#", "e=", "back\\", "nbsp\u{a0}", "é\u{2003}"];
+    let tree = cdp.tree();
+    let mut b = AttackTreeBuilder::new();
+    for v in tree.node_ids() {
+        let name = format!("{}{}", STEMS[rng.gen_range(0..STEMS.len())], v.index());
+        match tree.node_type(v) {
+            cdat::NodeType::Bas => b.bas(&name),
+            ty => b.gate(&name, ty, tree.children(v).iter().copied()),
+        };
+    }
+    let renamed = b.build().expect("same structure, new unique names");
+    let cd =
+        CdAttackTree::from_parts(renamed, cdp.cd().costs().to_vec(), cdp.cd().damages().to_vec())
+            .expect("same attributes");
+    CdpAttackTree::from_parts(cd, cdp.probs().to_vec()).expect("same probabilities")
+}
+
+/// The text format round-trips: writing a parsed document gives back the
+/// written bytes, and the parsed tree keeps every node's name, on treelike
+/// trees and DAGs alike.
+#[test]
+fn text_format_round_trips_through_the_parser() {
+    let mut dags = 0;
+    for case in 0..200u64 {
+        let rng = &mut StdRng::seed_from_u64(0x8F00 + case);
+        let sharing = if case % 2 == 0 { 0.0 } else { 0.5 };
+        let bas = rng.gen_range(1..=24);
+        let structure = cdat::gen::random_dag(rng, bas, sharing);
+        dags += usize::from(!structure.is_treelike());
+        let cdp = with_awkward_names(&cdat::gen::decorate_prob(structure, rng), rng);
+        let text = cdat::format::write(&cdp);
+        let parsed = cdat::format::parse(&text).unwrap_or_else(|e| panic!("case {case}: {e}"));
+        assert_eq!(cdat::format::write(&parsed), text, "case {case}");
+        let names = |t: &CdpAttackTree| {
+            let mut names: Vec<String> =
+                t.tree().node_ids().map(|v| t.tree().name(v).to_owned()).collect();
+            names.sort();
+            names
+        };
+        assert_eq!(names(&parsed), names(&cdp), "case {case}");
+    }
+    assert!(dags >= 50, "only {dags} of 200 cases are DAGs");
+}

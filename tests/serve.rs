@@ -57,7 +57,8 @@ fn write_suite(docs: &[(String, cdat::CdpAttackTree)]) -> PathBuf {
 /// Spawns `cdat serve --stdio`, feeds it `input`, and returns all response
 /// lines (completion order). Stdin is written from a thread so a filling
 /// stdout pipe can never deadlock the test.
-fn serve_stdio(args: &[&str], input: String) -> Vec<String> {
+fn serve_stdio(args: &[&str], input: impl Into<Vec<u8>>) -> Vec<String> {
+    let input = input.into();
     let mut child = cdat_bin()
         .arg("serve")
         .arg("--stdio")
@@ -68,7 +69,7 @@ fn serve_stdio(args: &[&str], input: String) -> Vec<String> {
         .expect("serve spawns");
     let mut stdin = child.stdin.take().expect("piped stdin");
     let feeder = std::thread::spawn(move || {
-        let _ = stdin.write_all(input.as_bytes());
+        let _ = stdin.write_all(&input);
         // Dropping stdin sends EOF: the server flushes and exits.
     });
     let output = child.wait_with_output().expect("serve exits at EOF");
@@ -336,6 +337,57 @@ fn oversized_request_text_answers_one_short_error_line() {
         assert!(line.contains(what), "{line}");
         assert!(line.contains("... (1048576 bytes)"), "{line}");
     }
+}
+
+/// Splits a session's answers into the `null`-id error lines and the
+/// other lines sorted by id.
+fn null_id_errors_and_answers(lines: Vec<String>) -> (Vec<String>, Vec<String>) {
+    let (errors, mut answers): (Vec<String>, Vec<String>) =
+        lines.into_iter().partition(|line| line.starts_with("{\"id\":null,\"error\":"));
+    answers.sort_by_key(|line| int_field(line, "id"));
+    (errors, answers)
+}
+
+/// A line that is not UTF-8 gets one error line; the lines after it are
+/// still read and answered.
+#[test]
+fn a_non_utf8_line_answers_an_error_and_reading_goes_on() {
+    let mut input = b"{\"id\":1,\"tree\":\"or g damage=7\\n  bas x cost=3\\n\"}\n".to_vec();
+    input.extend_from_slice(b"{\"id\":2,\"tree\":\"or \xFF\"}\n");
+    input.extend_from_slice(b"{\"id\":3,\"tree\":\"or g damage=7\\n  bas x cost=3\\n\"}\r\n");
+    let (errors, answers) = null_id_errors_and_answers(serve_stdio(&[], input));
+    assert_eq!(
+        errors,
+        ["{\"id\":null,\"error\":\"request line is not valid UTF-8 (invalid byte at 19)\"}"]
+    );
+    assert_eq!(
+        answers,
+        [
+            "{\"id\":1,\"query\":\"cdpf\",\"front\":[[0,0],[3,7]]}",
+            "{\"id\":3,\"query\":\"cdpf\",\"front\":[[0,0],[3,7]]}",
+        ]
+    );
+}
+
+/// A line over `MAX_REQUEST_LINE` bytes gets one short error line and is
+/// skipped to its newline; the next line is read and answered.
+#[test]
+fn an_oversized_line_answers_one_short_error_and_reading_goes_on() {
+    let good =
+        |id: u32| format!("{{\"id\":{id},\"tree\":\"or g damage=7\\n  bas x cost=3\\n\"}}\n");
+    let big = "x".repeat(17 << 20);
+    let input = format!("{}{{\"id\":2,\"tree\":\"{big}\"}}\n{}", good(1), good(3));
+    let (errors, answers) = null_id_errors_and_answers(serve_stdio(&[], input));
+    assert_eq!(
+        errors,
+        [format!(
+            "{{\"id\":null,\"error\":\"request line longer than {} bytes\"}}",
+            cdat::server::MAX_REQUEST_LINE
+        )]
+    );
+    assert!(errors[0].len() < 1024);
+    assert_eq!(answers.len(), 2, "{answers:?}");
+    assert_eq!(int_field(&answers[1], "id"), 3);
 }
 
 #[test]
