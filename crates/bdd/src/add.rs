@@ -5,7 +5,7 @@
 //! structure function: they need the *damage function* of an attack tree as
 //! a decision diagram, so that a Pareto-front recursion can staircase-merge
 //! over its nodes. An [`Add`] is the multi-terminal generalization of
-//! [`Bdd`](crate::Bdd): internal nodes Shannon-decompose on a variable,
+//! [`Bdd`]: internal nodes Shannon-decompose on a variable,
 //! leaves carry real values, and hash-consing keeps semantically equal
 //! functions pointer-equal (terminals are interned by their exact bit
 //! pattern, so "equal" means bit-equal — the fused solvers rely on this to

@@ -11,9 +11,8 @@
 //!
 //! The pipeline, per query family:
 //!
-//! 1. Compile the structure function with
-//!    [`compile_structure`](crate::compile_structure) (BAS `b` ↦ variable
-//!    `b`, so diagram variable order is BAS id order).
+//! 1. Compile the structure function with [`compile_structure`] (BAS `b`
+//!    ↦ variable `b`, so diagram variable order is BAS id order).
 //! 2. Build an [`Add`] of the queried attribute — the attack-to-value map —
 //!    by combining per-node diagrams with [`Add::plus`] / [`Add::scale`] /
 //!    [`Add::prob_transform`] in **the same floating-point evaluation order

@@ -16,22 +16,21 @@
 //! DAG-like ones. This retires the enumerative exponential cliff (and the
 //! "open problem" error for probabilistic DAGs) as the only DAG story.
 
-use cdat_core::CdpAttackTree;
+use cdat_core::{AttackTree, CdpAttackTree};
 use cdat_pareto::ParetoFront;
 
 use crate::{FrontKind, SolverHint};
 
 /// The solver families a cache miss can be dispatched to.
 ///
-/// The capability matrix (see [`supports`](SolverBackend::supports); `✓*`
-/// means size-gated at validation time):
+/// The capability matrix, enforced by [`select`](SolverBackend::select)
+/// (`✓*` means size-gated at validation time):
 ///
 /// | backend       | deterministic | probabilistic | min_time | max_prob | shape    |
 /// |---------------|---------------|---------------|----------|----------|----------|
 /// | `bottomup`    | ✓             | ✓             | ✓        | ✓        | treelike |
 /// | `bdd`         | ✓             | ✓             | ✓        | ✓        | any      |
 /// | `enumerative` | ✓*            | ✓*            | ✓*       | ✓*       | any      |
-/// | `bilp`        | ✓             | —             | —        | —        | any      |
 #[derive(Copy, Clone, Eq, PartialEq, Hash, Debug)]
 pub enum SolverBackend {
     /// The paper's bottom-up staircase solver (exact on treelike trees
@@ -46,27 +45,19 @@ pub enum SolverBackend {
     /// exponential in the BAS count, so it is size-gated at validation time
     /// ([`cdat_enumerative::MAX_ENUM_BAS`]) and never auto-selected.
     Enumerative,
-    /// The BILP encoding ([`cdat_bilp`]): deterministic cost-damage queries
-    /// only, any shape.
-    Bilp,
 }
 
 impl SolverBackend {
     /// Every backend, in [`SolverBackend::index`] order.
-    pub const ALL: [SolverBackend; 4] = [
-        SolverBackend::BottomUp,
-        SolverBackend::BddFused,
-        SolverBackend::Enumerative,
-        SolverBackend::Bilp,
-    ];
+    pub const ALL: [SolverBackend; 3] =
+        [SolverBackend::BottomUp, SolverBackend::BddFused, SolverBackend::Enumerative];
 
-    /// A stable dense index (0..4), used to key per-backend metrics.
+    /// A stable dense index (0..3), used to key per-backend metrics.
     pub fn index(self) -> usize {
         match self {
             SolverBackend::BottomUp => 0,
             SolverBackend::BddFused => 1,
             SolverBackend::Enumerative => 2,
-            SolverBackend::Bilp => 3,
         }
     }
 
@@ -77,64 +68,50 @@ impl SolverBackend {
             SolverBackend::BottomUp => "bottomup",
             SolverBackend::BddFused => "bdd",
             SolverBackend::Enumerative => "enumerative",
-            SolverBackend::Bilp => "bilp",
         }
     }
 
-    /// The capability matrix: whether this backend can answer `kind` on
-    /// this tree's shape. Size limits (the enumerative BAS cap) are *not*
-    /// part of the matrix; [`select`](SolverBackend::select) enforces them
-    /// as validation errors.
-    pub fn supports(self, kind: FrontKind, cdp: &CdpAttackTree) -> bool {
-        match self {
-            SolverBackend::BottomUp => cdp.tree().is_treelike(),
-            SolverBackend::BddFused | SolverBackend::Enumerative => true,
-            SolverBackend::Bilp => kind == FrontKind::Deterministic,
+    /// The shape rule: treelike → [`BottomUp`](Self::BottomUp), DAG-like →
+    /// [`BddFused`](Self::BddFused), for every front family. This is what
+    /// an `auto` hint resolves to, and the one place that picks a solver
+    /// from the tree's shape; the `cdat::solve` facade dispatches through
+    /// it too.
+    pub fn for_shape(tree: &AttackTree) -> SolverBackend {
+        if tree.is_treelike() {
+            SolverBackend::BottomUp
+        } else {
+            SolverBackend::BddFused
         }
     }
 
     /// The single dispatch point: resolves a request's hint to the backend
     /// that will compute its front on a cache miss.
     ///
-    /// `Auto` picks by shape — treelike → [`BottomUp`](Self::BottomUp),
-    /// DAG-like → [`BddFused`](Self::BddFused) — for every front family and
-    /// never fails. Explicit hints force their backend and fail with a
-    /// stable message when the capability matrix (or the enumerative size
-    /// gate) says no; the caller turns that into an immediate error
-    /// response without consulting the cache.
+    /// `Auto` picks by shape ([`for_shape`](Self::for_shape)) and never
+    /// fails. Explicit hints force their backend and fail with a stable
+    /// message when the capability matrix (or the enumerative size gate)
+    /// says no; the caller turns that into an immediate error response
+    /// without consulting the cache. No row of the matrix depends on
+    /// `kind` today; it stays in the signature as the family a backend is
+    /// asked to answer.
     ///
     /// # Errors
     ///
     /// A human-readable message naming the unsupported combination.
     pub fn select(
         hint: SolverHint,
-        kind: FrontKind,
+        _kind: FrontKind,
         cdp: &CdpAttackTree,
     ) -> Result<SolverBackend, String> {
         let backend = match hint {
-            SolverHint::Auto => {
-                if cdp.tree().is_treelike() {
-                    SolverBackend::BottomUp
-                } else {
-                    SolverBackend::BddFused
-                }
-            }
+            SolverHint::Auto => Self::for_shape(cdp.tree()),
             SolverHint::BottomUp => SolverBackend::BottomUp,
             SolverHint::Bdd => SolverBackend::BddFused,
             SolverHint::Enumerative => SolverBackend::Enumerative,
-            SolverHint::Bilp => SolverBackend::Bilp,
         };
         match backend {
             SolverBackend::BottomUp if !cdp.tree().is_treelike() => {
                 Err("the bottom-up solver requires a treelike tree; use solver auto or bdd"
-                    .to_owned())
-            }
-            SolverBackend::Bilp if kind == FrontKind::Probabilistic => {
-                Err("the BILP solver has no probabilistic encoding; use solver auto or bottomup"
-                    .to_owned())
-            }
-            SolverBackend::Bilp if matches!(kind, FrontKind::MinTime | FrontKind::MaxProb) => {
-                Err("the BILP solver answers only cost-damage queries; use solver auto or bottomup"
                     .to_owned())
             }
             SolverBackend::Enumerative
@@ -188,10 +165,6 @@ impl SolverBackend {
                 FrontKind::MinTime => cdat_enumerative::min_time(cdp.cd(), true),
                 FrontKind::MaxProb => cdat_enumerative::max_prob(cdp, true),
             }),
-            SolverBackend::Bilp => match kind {
-                FrontKind::Deterministic => Ok(cdat_bilp::cdpf(cdp.cd())),
-                _ => unreachable!("the BILP backend answers deterministic queries only"),
-            },
         }
     }
 }
@@ -227,18 +200,25 @@ mod tests {
         }
     }
 
+    /// A treelike tree one BAS past the enumerative cap.
+    fn past_the_enumerative_cap() -> Arc<CdpAttackTree> {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+        let tree = cdat_gen::random_dag(&mut rng, cdat_enumerative::MAX_ENUM_BAS + 1, 0.0);
+        Arc::new(cdat_gen::decorate_prob(tree, &mut rng))
+    }
+
     #[test]
     fn capability_matrix_gates_explicit_hints() {
         let dag = dag();
         let err = SolverBackend::select(SolverHint::BottomUp, FrontKind::Deterministic, &dag)
             .unwrap_err();
         assert!(err.contains("treelike"), "{err}");
-        let err = SolverBackend::select(SolverHint::Bilp, FrontKind::Probabilistic, &treelike())
-            .unwrap_err();
-        assert!(err.contains("no probabilistic encoding"), "{err}");
-        let err =
-            SolverBackend::select(SolverHint::Bilp, FrontKind::MinTime, &treelike()).unwrap_err();
-        assert!(err.contains("cost-damage queries"), "{err}");
+        let big = past_the_enumerative_cap();
+        for kind in FrontKind::ALL {
+            let err = SolverBackend::select(SolverHint::Enumerative, kind, &big).unwrap_err();
+            assert!(err.contains("at most 30 basic attack steps"), "{err}");
+        }
         assert_eq!(
             SolverBackend::select(SolverHint::Bdd, FrontKind::Probabilistic, &dag),
             Ok(SolverBackend::BddFused)
@@ -251,22 +231,27 @@ mod tests {
 
     #[test]
     fn every_backend_supports_what_it_claims() {
-        for backend in SolverBackend::ALL {
+        let hints =
+            [SolverHint::Auto, SolverHint::BottomUp, SolverHint::Bdd, SolverHint::Enumerative];
+        let mut reached = [false; SolverBackend::ALL.len()];
+        for hint in hints {
             for kind in FrontKind::ALL {
                 for tree in [treelike(), dag()] {
-                    if backend.supports(kind, &tree) {
+                    if let Ok(backend) = SolverBackend::select(hint, kind, &tree) {
+                        reached[backend.index()] = true;
                         let front = backend.compute(kind, &tree);
-                        assert!(front.is_ok(), "{backend:?} {kind:?}: {front:?}");
+                        assert!(front.is_ok(), "{hint:?} -> {backend:?} {kind:?}: {front:?}");
                     }
                 }
             }
         }
+        assert_eq!(reached, [true; SolverBackend::ALL.len()], "every backend is selectable");
     }
 
     #[test]
     fn labels_and_indices_are_stable() {
         let labels: Vec<&str> = SolverBackend::ALL.iter().map(|b| b.label()).collect();
-        assert_eq!(labels, ["bottomup", "bdd", "enumerative", "bilp"]);
+        assert_eq!(labels, ["bottomup", "bdd", "enumerative"]);
         for (i, backend) in SolverBackend::ALL.into_iter().enumerate() {
             assert_eq!(backend.index(), i);
         }

@@ -38,8 +38,8 @@
 //! them into the requesting tree's own numbering at answer time. Two
 //! renamed/reordered copies of a tree thus share one cached front, yet
 //! each receives witnesses valid for *its* BAS ids, exactly matching what
-//! the one-call solvers ([`cdat_bottomup`], [`cdat_bilp`]) return on that
-//! copy.
+//! the one-call solvers ([`cdat_bottomup`], [`cdat_bdd::fuse`]) return on
+//! that copy.
 //!
 //! Witnesses are stored **unconditionally** — cache entries are shared, so
 //! a front computed for a points-only request must still be able to answer
@@ -205,9 +205,9 @@ impl Query {
 /// same exact front, so hinted and unhinted requests share cache entries —
 /// only *how*. Hints resolve to a [`SolverBackend`] through
 /// [`SolverBackend::select`]; incompatible combinations (bottom-up on a
-/// DAG-like tree, BILP on a probabilistic query, enumerative past its BAS
-/// cap) are rejected with a [`Response::Error`] before the cache is
-/// consulted, so a bad hint can never poison a shared entry.
+/// DAG-like tree, enumerative past its BAS cap) are rejected with a
+/// [`Response::Error`] before the cache is consulted, so a bad hint can
+/// never poison a shared entry.
 #[derive(Copy, Clone, Eq, PartialEq, Hash, Debug, Default)]
 pub enum SolverHint {
     /// Dispatch on shape: treelike → bottom-up, DAG-like → the BDD-fused
@@ -220,24 +220,23 @@ pub enum SolverHint {
     Bdd,
     /// Force the enumerative oracle (any shape, size-gated).
     Enumerative,
-    /// Force the BILP solver (deterministic queries only).
-    Bilp,
 }
 
 impl SolverHint {
     /// Parses the protocol spelling (`auto` / `bottomup` / `bdd` /
-    /// `enumerative` / `bilp`).
+    /// `enumerative`). `bilp`, the name of the retired BILP backend, is an
+    /// alias of `auto`: hints never change response bytes, so a client
+    /// that sends it gets the bytes of an unhinted request.
     ///
     /// # Errors
     ///
     /// Returns a message naming the accepted spellings.
     pub fn parse(name: &str) -> Result<Self, String> {
         match name {
-            "auto" => Ok(SolverHint::Auto),
+            "auto" | "bilp" => Ok(SolverHint::Auto),
             "bottomup" | "bottom-up" | "bu" => Ok(SolverHint::BottomUp),
             "bdd" => Ok(SolverHint::Bdd),
             "enumerative" | "enum" => Ok(SolverHint::Enumerative),
-            "bilp" => Ok(SolverHint::Bilp),
             other => Err(format!(
                 "unknown solver {other:?} (expected auto, bottomup, bdd, enumerative or bilp)"
             )),
@@ -858,6 +857,21 @@ mod tests {
         Arc::new(CdpAttackTree::from_parts(cd, vec![1.0; n]).unwrap())
     }
 
+    /// A DAG with [`cdat_enumerative::MAX_ENUM_BAS`] + 1 BASs, every one
+    /// shared by both OR gates under the AND root: one past the
+    /// enumerative cap, and trivial for the BDD-fused solver.
+    fn oversized_dag() -> Arc<CdpAttackTree> {
+        let mut b = cdat_core::AttackTreeBuilder::new();
+        let n = cdat_enumerative::MAX_ENUM_BAS + 1;
+        let names: Vec<String> = (0..n).map(|i| format!("b{i}")).collect();
+        let bas: Vec<_> = names.iter().map(|name| b.bas(name)).collect();
+        let g1 = b.or("g1", bas.clone());
+        let g2 = b.or("g2", bas);
+        let _r = b.and("r", [g1, g2]);
+        let cd = CdAttackTree::builder(b.build().unwrap()).finish().unwrap();
+        Arc::new(cd.with_probabilities().finish().unwrap())
+    }
+
     #[test]
     fn all_six_queries_answer_on_the_factory() {
         let tree = factory();
@@ -1020,13 +1034,12 @@ mod tests {
     fn solver_hints_agree_and_share_cache_entries() {
         let engine = Engine::new(2);
         let results = engine.run(&[
-            BatchRequest::new(factory(), Query::Cdpf).with_hint(SolverHint::Bilp),
-            BatchRequest::new(factory(), Query::Cdpf).with_hint(SolverHint::BottomUp),
             BatchRequest::new(factory(), Query::Cdpf).with_hint(SolverHint::Bdd),
+            BatchRequest::new(factory(), Query::Cdpf).with_hint(SolverHint::BottomUp),
             BatchRequest::new(factory(), Query::Cdpf).with_hint(SolverHint::Enumerative),
             BatchRequest::new(factory(), Query::Cdpf),
         ]);
-        assert!(!results[0].cache_hit, "the BILP-hinted request computes the front");
+        assert!(!results[0].cache_hit, "the BDD-hinted request computes the front");
         for r in &results[1..] {
             assert!(r.cache_hit, "hinted and unhinted requests share the entry");
             assert_eq!(results[0].response, r.response);
@@ -1041,12 +1054,12 @@ mod tests {
         let engine = Engine::new(1);
         let results = engine.run(&[
             BatchRequest::new(dag_cdp(), Query::Cdpf).with_hint(SolverHint::BottomUp),
-            BatchRequest::new(factory(), Query::Cedpf).with_hint(SolverHint::Bilp),
+            BatchRequest::new(oversized_dag(), Query::Cedpf).with_hint(SolverHint::Enumerative),
             // The same DAG with a valid hint still computes cleanly:
             BatchRequest::new(dag_cdp(), Query::Cdpf),
         ]);
         assert!(matches!(&results[0].response, Response::Error(m) if m.contains("treelike")));
-        assert!(matches!(&results[1].response, Response::Error(m) if m.contains("BILP")));
+        assert!(matches!(&results[1].response, Response::Error(m) if m.contains("at most")));
         assert!(!results[0].cache_hit && !results[1].cache_hit);
         assert!(
             matches!(&results[2].response, Response::Front(_)),
@@ -1313,15 +1326,7 @@ mod tests {
         // A DAG with MAX_ENUM_BAS + 1 shared BASs: an explicit enumerative
         // hint must produce a stable validation error instead of a
         // 2^31-attack enumeration, while auto (BDD-fused) solves it.
-        let mut b = cdat_core::AttackTreeBuilder::new();
-        let n = cdat_enumerative::MAX_ENUM_BAS + 1;
-        let names: Vec<String> = (0..n).map(|i| format!("b{i}")).collect();
-        let bas: Vec<_> = names.iter().map(|name| b.bas(name)).collect();
-        let g1 = b.or("g1", bas.clone());
-        let g2 = b.or("g2", bas);
-        let _r = b.and("r", [g1, g2]);
-        let cd = CdAttackTree::builder(b.build().unwrap()).finish().unwrap();
-        let cdp = Arc::new(cd.with_probabilities().finish().unwrap());
+        let cdp = oversized_dag();
         let engine = Engine::new(1);
         let results = engine.run(&[
             BatchRequest::new(cdp.clone(), Query::MinTime).with_hint(SolverHint::Enumerative),
@@ -1345,13 +1350,13 @@ mod tests {
     fn scalar_hint_validation() {
         let engine = Engine::new(1);
         let results = engine.run(&[
-            BatchRequest::new(factory(), Query::MinTime).with_hint(SolverHint::Bilp),
+            BatchRequest::new(factory(), Query::MinTime).with_hint(SolverHint::Enumerative),
             BatchRequest::new(dag_cdp(), Query::MaxProb).with_hint(SolverHint::BottomUp),
             BatchRequest::new(factory(), Query::MinTime).with_hint(SolverHint::BottomUp),
         ]);
-        assert!(matches!(&results[0].response, Response::Error(m) if m.contains("BILP")));
+        assert!(matches!(&results[0].response, Response::Value(Some(_))));
         assert!(matches!(&results[1].response, Response::Error(m) if m.contains("treelike")));
-        assert!(matches!(&results[2].response, Response::Value(Some(_))));
+        assert_eq!(results[2].response, results[0].response);
     }
 
     #[test]
@@ -1506,7 +1511,7 @@ mod tests {
                 BatchRequest::new(tree.clone(), Query::Cedpf),
                 BatchRequest::new(tree.clone(), Query::MinTime),
                 // An invalid hint: counted separately, outside `requests`.
-                BatchRequest::new(tree.clone(), Query::Cedpf).with_hint(SolverHint::Bilp),
+                BatchRequest::new(dag_cdp(), Query::Cedpf).with_hint(SolverHint::BottomUp),
             ])
             .collect();
 

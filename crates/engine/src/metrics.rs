@@ -86,7 +86,7 @@ pub struct EngineMetrics {
     /// each counted request increments the backend phase 1 selected for it
     /// ([`SolverBackend::select`]), hit or miss alike — so the backend
     /// counters partition `requests` exactly, like the tier counters do.
-    pub backend_requests: [Counter; 4],
+    pub backend_requests: [Counter; SolverBackend::ALL.len()],
     /// Per-family tier counters, indexed by [`FrontKind::index`].
     pub families: [FamilyCounters; 4],
 }
@@ -147,7 +147,7 @@ pub struct EngineSnapshot {
     pub dirty_path_len: HistogramSnapshot,
     /// Summed per-backend request counts, indexed by
     /// [`SolverBackend::index`].
-    pub backends: [u64; 4],
+    pub backends: [u64; SolverBackend::ALL.len()],
     /// Per-family counters, indexed by [`FrontKind::index`].
     pub families: [FamilySnapshot; 4],
 }

@@ -339,7 +339,7 @@ pub fn random_small(rng: &mut impl Rng, max_bas: usize, treelike: bool) -> Attac
 /// Sharing is deliberately local — only adjacent clusters overlap — so the
 /// BDD of the structure function under the natural BAS order stays small
 /// and the BDD-fused solver scales to hundreds of BASs, while the
-/// enumerative path is infeasible past [`cdat_enumerative::MAX_ENUM_BAS`]
+/// enumerative path is infeasible past `cdat_enumerative::MAX_ENUM_BAS`
 /// (not a dependency of this crate; the cap is 30).
 ///
 /// `sharing = 0.0` yields a treelike AT; at `0.5` most multi-cluster

@@ -8,7 +8,7 @@
 //! ```text
 //! {"id":1,"tree":"or root damage=5\n  bas x cost=1\n","query":"dgc","arg":3}
 //! {"id":"s1","suite":"--- a\nor g\n  bas x cost=1\n--- b\n...","query":"cdpf"}
-//! {"id":2,"tree":"...","query":"cdpf","solver":"bilp"}
+//! {"id":2,"tree":"...","query":"cdpf","solver":"bdd"}
 //! {"op":"stats","id":9}
 //! {"op":"metrics","id":10}
 //! ```
@@ -24,9 +24,10 @@
 //! * `query` — `cdpf` (default), `cedpf`, `dgc`, `cgd`, `edgc`, `cged`,
 //!   `min-time` or `max-prob`; the four thresholded queries require a
 //!   finite `arg`, the others reject one.
-//! * `solver` — `auto` (default), `bottomup`, `bdd`, `enumerative` or
-//!   `bilp`; per-request solver choice, validated against the tree's shape
-//!   and the query's family by the engine (`SolverBackend::select`). Hints
+//! * `solver` — `auto` (default), `bottomup`, `bdd` or `enumerative`
+//!   (`bilp`, the retired BILP backend, is an alias of `auto`); per-request
+//!   solver choice, validated against the tree's shape and size by the
+//!   engine (`SolverBackend::select`). Hints
 //!   never change the answer — every backend returns the same exact front —
 //!   so hinted and unhinted requests share cache entries.
 //! * `witnesses` — `true` to include witness attacks in the response
@@ -705,12 +706,12 @@ mod tests {
     fn parses_a_suite_request_with_solver_hint() {
         let line = concat!(
             r#"{"id":"s","suite":"--- a\nor g damage=1\n  bas x cost=2\n"#,
-            r#"--- b\nor h damage=3\n  bas y cost=4\n","solver":"bilp"}"#
+            r#"--- b\nor h damage=3\n  bas y cost=4\n","solver":"bdd"}"#
         );
         let Request::Solve(req) = parse_request(line).unwrap() else { panic!("not a solve") };
         assert!(req.suite);
         assert_eq!(req.query, Query::Cdpf, "query defaults to cdpf");
-        assert_eq!(req.hint, SolverHint::Bilp);
+        assert_eq!(req.hint, SolverHint::Bdd);
         assert_eq!(req.docs.len(), 2);
         assert_eq!(req.docs[1].name.as_deref(), Some("b"));
         assert_eq!(req.docs[1].doc, 1);
@@ -726,7 +727,7 @@ mod tests {
             ("bdd", SolverHint::Bdd),
             ("enumerative", SolverHint::Enumerative),
             ("enum", SolverHint::Enumerative),
-            ("bilp", SolverHint::Bilp),
+            ("bilp", SolverHint::Auto),
         ] {
             let line = format!(r#"{{"id":1,"tree":"or a\n  bas x\n","solver":"{spelling}"}}"#);
             let Request::Solve(req) = parse_request(&line).unwrap() else { panic!("not a solve") };

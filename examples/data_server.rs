@@ -1,6 +1,6 @@
 //! The paper's second case study: a data server on a network behind a
 //! firewall (Fig. 5 / Fig. 6c) — a DAG-like tree solved by the BDD-fused
-//! backend (the BILP encoding remains as a fallback).
+//! backend. The paper's BILP encoding stays available as `cdat::bilp`.
 //!
 //! Run with `cargo run --release --example data_server`.
 
@@ -17,11 +17,11 @@ fn main() {
     );
     println!(
         "dispatched backend: {:?} (bottom-up cannot handle shared nodes)",
-        solve::backend_for(&cd)
+        solve::SolverBackend::for_shape(cd.tree())
     );
 
     // ── Fig. 6c: the Pareto front via the BDD-fused solver ──────────────
-    let front = solve::cdpf(&cd);
+    let front = solve::cdpf(&cd).expect("the data server fits the diagram budget");
     println!("\ncost-damage Pareto front ({} points):", front.len());
     println!("{:>6} {:>8} {:>4}  attack (paper BAS numbers)", "cost", "damage", "top");
     for entry in front.entries() {

@@ -30,7 +30,7 @@ fn main() {
     let mut defended: Vec<BasId> = Vec::new(); // in the base tree's numbering
     println!(
         "attacker budget {budget}: undefended worst-case damage = {}",
-        solve::dgc(&current, budget).expect("budget ≥ 0").point.damage
+        solve::dgc(&current, budget).expect("treelike").expect("budget ≥ 0").point.damage
     );
 
     // Classical view first: the minimal successful attacks.
@@ -54,7 +54,7 @@ fn main() {
             "round {round}: defend {:?} → residual damage {} (was {})",
             best.name,
             best.residual_damage,
-            solve::dgc(&current, budget).expect("budget ≥ 0").point.damage,
+            solve::dgc(&current, budget).expect("treelike").expect("budget ≥ 0").point.damage,
         );
         // Surviving names are preserved by the prune, so the best defense
         // maps back to the base tree's numbering by name — the accumulated

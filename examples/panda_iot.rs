@@ -20,7 +20,7 @@ fn main() {
     );
 
     // ── Deterministic cost-damage Pareto front (Fig. 6a) ────────────────
-    let front = solve::cdpf(&cd);
+    let front = solve::cdpf(&cd).expect("panda tree is treelike");
     println!(
         "\ndeterministic Pareto front: {} of {} possible attacks are optimal",
         front.len(),
@@ -74,7 +74,7 @@ fn main() {
     // ── Budget sweep (the DgC question for attacker profiles) ───────────
     println!("\ndamage achievable by attacker budget:");
     for budget in [0.0, 5.0, 10.0, 15.0, 20.0, 30.0] {
-        let det = solve::dgc(&cd, budget).expect("budget ≥ 0").point.damage;
+        let det = solve::dgc(&cd, budget).expect("treelike").expect("budget ≥ 0").point.damage;
         let exp = solve::edgc(&cdp, budget).expect("treelike").expect("budget ≥ 0").point.damage;
         println!("  budget {budget:>4}: worst-case damage {det:>5}, expected {exp:>7.2}");
     }

@@ -30,7 +30,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .finish()?;
 
     // ── 3. The Pareto front: the whole cost-damage trade-off at once ────
-    let front = solve::cdpf(&cd);
+    let front = solve::cdpf(&cd)?;
     println!("cost-damage Pareto front:");
     for entry in front.entries() {
         let witness = entry.witness.as_ref().expect("solvers track witnesses");
@@ -44,11 +44,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // ── 4. Budgeted questions ───────────────────────────────────────────
     // "How bad can an attacker with budget 5 hurt us?" (DgC)
-    let worst = solve::dgc(&cd, 5.0).expect("budget is nonnegative");
+    let worst = solve::dgc(&cd, 5.0)?.expect("budget is nonnegative");
     println!("\nworst damage within budget 5: {}", worst.point.damage);
 
     // "How cheap is it to cause damage ≥ 60?" (CgD)
-    match solve::cgd(&cd, 60.0) {
+    match solve::cgd(&cd, 60.0)? {
         Some(entry) => println!("damage ≥ 60 costs the attacker ≥ {}", entry.point.cost),
         None => println!("damage ≥ 60 is not achievable"),
     }

@@ -40,23 +40,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The SOC question: given our detection-and-response latency of T
     // minutes, how much damage can an intruder do before we stop them?
     println!("attacker time vs achievable damage (k$):");
-    let front = solve::cdpf(&cd);
+    let front = solve::cdpf(&cd)?;
     for entry in front.entries() {
         println!("  within {:>4} min: damage {:>5}", entry.point.cost, entry.point.damage);
     }
     for response in [30.0, 60.0, 90.0, 130.0] {
-        let worst = solve::dgc(&cd, response).expect("nonnegative");
+        let worst = solve::dgc(&cd, response)?.expect("nonnegative");
         println!(
             "response time {response:>4} min → worst-case exposure {:>5} k$",
             worst.point.damage
         );
     }
-    let catastrophic = solve::cgd(&cd, 400.0).expect("breach is achievable");
+    let catastrophic = solve::cgd(&cd, 400.0)?.expect("breach is achievable");
     println!(
         "\na full breach needs the attacker to stay {} min undetected\n\
          → any response faster than that caps damage at {} k$",
         catastrophic.point.cost,
-        solve::dgc(&cd, catastrophic.point.cost - 1.0).expect("nonnegative").point.damage
+        solve::dgc(&cd, catastrophic.point.cost - 1.0)?.expect("nonnegative").point.damage
     );
 
     // ── Probabilistic twist: redundancy pays (Example 10 effect) ────────

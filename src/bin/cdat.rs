@@ -3,7 +3,7 @@
 //! ```text
 //! cdat info    <tree.cdat>              shape, sizes, attribute summary
 //! cdat cdpf    <tree.cdat>              cost-damage Pareto front (+witnesses)
-//! cdat cedpf   <tree.cdat>              cost-expected-damage front (treelike)
+//! cdat cedpf   <tree.cdat>              cost-expected-damage front (+witnesses)
 //! cdat dgc     <tree.cdat> <budget>     max damage within a cost budget
 //! cdat cgd     <tree.cdat> <threshold>  min cost reaching a damage threshold
 //! cdat minimal <tree.cdat>              minimal successful attacks
@@ -96,21 +96,18 @@ fn run(args: &[String]) -> Result<(), String> {
 
     match command {
         "info" => info(&cdp),
-        "cdpf" => print_front(&cdp, &solve::cdpf(cdp.cd())),
-        "cedpf" => {
-            let front = solve::cedpf(&cdp).map_err(|e| e.to_string())?;
-            print_front(&cdp, &front);
-        }
+        "cdpf" => print_front(&cdp, &solve::cdpf(cdp.cd()).map_err(|e| e.to_string())?),
+        "cedpf" => print_front(&cdp, &solve::cedpf(&cdp).map_err(|e| e.to_string())?),
         "dgc" => {
             let budget = number(2, "budget")?;
-            match solve::dgc(cdp.cd(), budget) {
+            match solve::dgc(cdp.cd(), budget).map_err(|e| e.to_string())? {
                 Some(e) => print_entry(&cdp, &e, "max damage"),
                 None => println!("no attack fits the budget (budget is negative)"),
             }
         }
         "cgd" => {
             let threshold = number(2, "threshold")?;
-            match solve::cgd(cdp.cd(), threshold) {
+            match solve::cgd(cdp.cd(), threshold).map_err(|e| e.to_string())? {
                 Some(e) => print_entry(&cdp, &e, "min cost"),
                 None => println!("unreachable: maximal damage is {}", cdp.cd().max_damage()),
             }
@@ -129,6 +126,7 @@ fn run(args: &[String]) -> Result<(), String> {
         "rank" => {
             let budget = number(2, "budget")?;
             let undefended = solve::dgc(cdp.cd(), budget)
+                .map_err(|e| e.to_string())?
                 .map(|e| e.point.damage)
                 .ok_or_else(|| format!("budget must be nonnegative, got {budget}"))?;
             println!("undefended damage within budget {budget}: {undefended}");
@@ -151,7 +149,7 @@ fn usage() -> String {
     for (cmd, help) in [
         ("info    <file>", "shape, sizes, attribute summary"),
         ("cdpf    <file>", "cost-damage Pareto front with witness attacks"),
-        ("cedpf   <file>", "cost-expected-damage front (treelike trees)"),
+        ("cedpf   <file>", "cost-expected-damage front with witness attacks"),
         ("dgc     <file> <budget>", "max damage within a cost budget"),
         ("cgd     <file> <threshold>", "min cost reaching a damage threshold"),
         ("minimal <file>", "minimal successful attacks"),
@@ -188,9 +186,10 @@ fn usage() -> String {
          second run on the same store starts warm\n  \
          --solver S         pin every request to one solver backend: auto\n                     \
          (default; treelike trees bottom-up, DAGs BDD-fused),\n                     \
-         bottomup, bdd, enumerative or bilp — incompatible\n                     \
-         hints answer as per-request errors, and all backends\n                     \
-         return the same front (hints share cache entries)\n  \
+         bottomup, bdd or enumerative (bilp is an alias of\n                     \
+         auto) — incompatible hints answer as per-request\n                     \
+         errors, and all backends return the same front\n                     \
+         (hints share cache entries)\n  \
          --cdpf --cedpf --dgc B --cgd D --edgc B --cged D --min-time --max-prob\n                     \
          queries to run per document, repeatable (default: --cdpf)\n\
          \nwhatif edits (repeatable; the answer is byte-identical to solving the\n\
@@ -996,7 +995,7 @@ fn info(cdp: &CdpAttackTree) {
     println!("total cost: {}", cdp.cd().total_cost());
     let probabilistic = cdp.probs().iter().any(|&p| p != 1.0);
     println!("probabilistic attributes: {}", if probabilistic { "yes" } else { "no" });
-    println!("solver for CDPF: {:?}", solve::backend_for(cdp.cd()));
+    println!("solver for CDPF: {:?}", solve::SolverBackend::for_shape(t));
 }
 
 fn attack_names(cdp: &CdpAttackTree, attack: &cdat::Attack) -> Vec<String> {

@@ -43,11 +43,11 @@
 //!     .finish()?;
 //!
 //! // The Pareto front tells the whole cost-damage story:
-//! let front = cdat::solve::cdpf(&cd);
+//! let front = cdat::solve::cdpf(&cd)?;
 //! assert_eq!(front.to_string(), "{(0, 0), (1, 200), (3, 210), (5, 310)}");
 //!
 //! // With a budget of 2, the worst the attacker can do is 200:
-//! let best = cdat::solve::dgc(&cd, 2.0).expect("budget is nonnegative");
+//! let best = cdat::solve::dgc(&cd, 2.0)?.expect("budget is nonnegative");
 //! assert_eq!(best.point.damage, 200.0);
 //! # Ok(()) }
 //! ```

@@ -5,11 +5,16 @@
 //! solver (`cdat_bdd::fuse`), which staircase-merges over a decision
 //! diagram of the queried attribute and is exact under shared BASs — the
 //! direction the paper's conclusion sketches for its open problem. These
-//! functions make that choice automatically; the batch engine exposes the
-//! same choice (and the BILP and enumerative alternatives) as
-//! [`SolverBackend`] with per-request [`SolverHint`]s.
+//! functions make that choice with the batch engine's own shape rule
+//! ([`SolverBackend::for_shape`]), so a one-call answer and an engine
+//! answer come from the same backend. The engine also exposes the
+//! enumerative oracle through per-request [`SolverHint`]s.
+//!
+//! The only failure mode is the BDD-fused solver's decision-diagram node
+//! budget on a DAG-like tree: every function reports it as [`AddLimit`],
+//! the same error the engine caches for that tree.
 
-use cdat_core::{CdAttackTree, CdpAttackTree};
+use cdat_core::{AttackTree, CdAttackTree, CdpAttackTree, NotTreelike};
 use cdat_pareto::{FrontEntry, ParetoFront};
 
 pub use cdat_bdd::add::AddLimit;
@@ -19,68 +24,78 @@ pub use cdat_engine::{
     SolverHint, StoreSnapshot, SubtreeMemo, TreePatch,
 };
 
-/// The backend the dispatching solvers will use for this tree — what
-/// [`SolverBackend::select`] picks for an `auto` hint.
-pub fn backend_for(cd: &CdAttackTree) -> SolverBackend {
-    if cd.tree().is_treelike() {
-        SolverBackend::BottomUp
-    } else {
-        SolverBackend::BddFused
+/// Runs `bottom_up` when the shape rule picks the bottom-up solver for
+/// `tree`, `fused` otherwise.
+fn by_shape<T>(
+    tree: &AttackTree,
+    bottom_up: impl FnOnce() -> Result<T, NotTreelike>,
+    fused: impl FnOnce() -> Result<T, AddLimit>,
+) -> Result<T, AddLimit> {
+    match SolverBackend::for_shape(tree) {
+        SolverBackend::BottomUp => {
+            Ok(bottom_up().expect("the shape rule picks bottom-up for treelike trees only"))
+        }
+        _ => fused(),
     }
 }
 
-/// Cost-damage Pareto front of any cd-AT (CDPF).
-///
-/// Treelike trees use the bottom-up solver, DAG-like trees the BDD-fused
-/// solver (with the BILP encoding as fallback if the decision diagram
-/// exceeds its node budget); all return exact fronts with witness attacks.
-///
-/// # Example
-///
-/// ```
-/// let front = cdat::solve::cdpf(&cdat_models::factory());
-/// assert_eq!(front.to_string(), "{(0, 0), (1, 200), (3, 210), (5, 310)}");
-/// ```
-pub fn cdpf(cd: &CdAttackTree) -> ParetoFront {
-    match backend_for(cd) {
-        SolverBackend::BottomUp => cdat_bottomup::cdpf(cd).expect("dispatched on shape"),
-        _ => cdat_bdd::fuse::cdpf(cd).unwrap_or_else(|_| cdat_bilp::cdpf(cd)),
-    }
-}
-
-/// Maximal damage within a cost budget (DgC). `None` only for a negative
-/// budget.
-pub fn dgc(cd: &CdAttackTree, budget: f64) -> Option<FrontEntry> {
-    match backend_for(cd) {
-        SolverBackend::BottomUp => cdat_bottomup::dgc(cd, budget).expect("dispatched on shape"),
-        _ => cdpf(cd).max_damage_within(budget).cloned(),
-    }
-}
-
-/// Minimal cost achieving a damage threshold (CgD). `None` when the
-/// threshold exceeds the maximal damage.
-pub fn cgd(cd: &CdAttackTree, threshold: f64) -> Option<FrontEntry> {
-    match backend_for(cd) {
-        SolverBackend::BottomUp => cdat_bottomup::cgd(cd, threshold).expect("dispatched on shape"),
-        _ => cdpf(cd).min_cost_achieving(threshold).cloned(),
-    }
-}
-
-/// Cost–expected-damage Pareto front (CEDPF) of any cdp-AT.
-///
-/// Treelike trees use the bottom-up solver; DAG-like trees the BDD-fused
-/// solver, which is exact under shared BASs (the paper's open problem;
-/// see `cdat_bdd::fuse`).
+/// Cost-damage Pareto front of any cd-AT (CDPF), with witness attacks.
 ///
 /// # Errors
 ///
 /// Returns [`AddLimit`] when a DAG-like tree's decision diagram exceeds
-/// the node budget — the only failure mode.
+/// the node budget.
+///
+/// # Example
+///
+/// ```
+/// let front = cdat::solve::cdpf(&cdat_models::factory()).unwrap();
+/// assert_eq!(front.to_string(), "{(0, 0), (1, 200), (3, 210), (5, 310)}");
+/// ```
+pub fn cdpf(cd: &CdAttackTree) -> Result<ParetoFront, AddLimit> {
+    by_shape(cd.tree(), || cdat_bottomup::cdpf(cd), || cdat_bdd::fuse::cdpf(cd))
+}
+
+/// Maximal damage within a cost budget (DgC). `Ok(None)` only for a
+/// negative budget.
+///
+/// # Errors
+///
+/// Returns [`AddLimit`] when a DAG-like tree's decision diagram exceeds
+/// the node budget.
+pub fn dgc(cd: &CdAttackTree, budget: f64) -> Result<Option<FrontEntry>, AddLimit> {
+    by_shape(
+        cd.tree(),
+        || cdat_bottomup::dgc(cd, budget),
+        || Ok(cdat_bdd::fuse::cdpf(cd)?.max_damage_within(budget).cloned()),
+    )
+}
+
+/// Minimal cost achieving a damage threshold (CgD). `Ok(None)` when the
+/// threshold exceeds the maximal damage.
+///
+/// # Errors
+///
+/// Returns [`AddLimit`] when a DAG-like tree's decision diagram exceeds
+/// the node budget.
+pub fn cgd(cd: &CdAttackTree, threshold: f64) -> Result<Option<FrontEntry>, AddLimit> {
+    by_shape(
+        cd.tree(),
+        || cdat_bottomup::cgd(cd, threshold),
+        || Ok(cdat_bdd::fuse::cdpf(cd)?.min_cost_achieving(threshold).cloned()),
+    )
+}
+
+/// Cost–expected-damage Pareto front (CEDPF) of any cdp-AT. The BDD-fused
+/// solver is exact under shared BASs (the paper's open problem; see
+/// `cdat_bdd::fuse`).
+///
+/// # Errors
+///
+/// Returns [`AddLimit`] when a DAG-like tree's decision diagram exceeds
+/// the node budget.
 pub fn cedpf(cdp: &CdpAttackTree) -> Result<ParetoFront, AddLimit> {
-    match cdat_bottomup::cedpf(cdp) {
-        Ok(front) => Ok(front),
-        Err(_) => cdat_bdd::fuse::cedpf(cdp),
-    }
+    by_shape(cdp.tree(), || cdat_bottomup::cedpf(cdp), || cdat_bdd::fuse::cedpf(cdp))
 }
 
 /// Maximal expected damage within a cost budget (EDgC).
@@ -90,10 +105,11 @@ pub fn cedpf(cdp: &CdpAttackTree) -> Result<ParetoFront, AddLimit> {
 /// Returns [`AddLimit`] when a DAG-like tree's decision diagram exceeds
 /// the node budget.
 pub fn edgc(cdp: &CdpAttackTree, budget: f64) -> Result<Option<FrontEntry>, AddLimit> {
-    match cdat_bottomup::edgc(cdp, budget) {
-        Ok(entry) => Ok(entry),
-        Err(_) => Ok(cdat_bdd::fuse::cedpf(cdp)?.max_damage_within(budget).cloned()),
-    }
+    by_shape(
+        cdp.tree(),
+        || cdat_bottomup::edgc(cdp, budget),
+        || Ok(cdat_bdd::fuse::cedpf(cdp)?.max_damage_within(budget).cloned()),
+    )
 }
 
 /// Minimal cost achieving an expected-damage threshold (CgED).
@@ -103,67 +119,52 @@ pub fn edgc(cdp: &CdpAttackTree, budget: f64) -> Result<Option<FrontEntry>, AddL
 /// Returns [`AddLimit`] when a DAG-like tree's decision diagram exceeds
 /// the node budget.
 pub fn cged(cdp: &CdpAttackTree, threshold: f64) -> Result<Option<FrontEntry>, AddLimit> {
-    match cdat_bottomup::cged(cdp, threshold) {
-        Ok(entry) => Ok(entry),
-        Err(_) => Ok(cdat_bdd::fuse::cedpf(cdp)?.min_cost_achieving(threshold).cloned()),
-    }
+    by_shape(
+        cdp.tree(),
+        || cdat_bottomup::cged(cdp, threshold),
+        || Ok(cdat_bdd::fuse::cedpf(cdp)?.min_cost_achieving(threshold).cloned()),
+    )
 }
 
 /// Minimal time-to-attack of any cd-AT, reading each BAS's cost attribute
 /// as its duration: `AND` sums child times, `OR` takes the faster child
 /// (the min-plus semiring over the generic staircase kernel,
-/// [`cdat_pareto::MinTime`]). The returned entry carries the duration in
-/// its cost slot (damage 0) and a witness attack achieving it.
+/// [`cdat_pareto::MinTime`]; on DAG-like trees shared BASs are counted
+/// once). The returned entry carries the duration in its cost slot
+/// (damage 0) and a witness attack achieving it.
 ///
-/// Treelike trees run the bottom-up kernel; DAG-like trees the BDD-fused
-/// kernel (shared BASs are counted once), with exact enumeration as
-/// fallback if the decision diagram exceeds its node budget.
+/// # Errors
 ///
-/// # Panics
-///
-/// Panics on DAG-like trees that exhaust the diagram budget *and* have
-/// more than [`cdat_enumerative::MAX_ENUM_BAS`] BASs, where the
-/// enumerative fallback is intractable too (the batch engine returns a
-/// clean error instead).
-pub fn min_time(cd: &CdAttackTree) -> Option<FrontEntry> {
-    let front = match cdat_bottomup::min_time(cd) {
-        Ok(front) => front,
-        Err(_) => {
-            cdat_bdd::fuse::min_time(cd).unwrap_or_else(|_| cdat_enumerative::min_time(cd, true))
-        }
-    };
-    front.entries().first().cloned()
+/// Returns [`AddLimit`] when a DAG-like tree's decision diagram exceeds
+/// the node budget.
+pub fn min_time(cd: &CdAttackTree) -> Result<Option<FrontEntry>, AddLimit> {
+    let front =
+        by_shape(cd.tree(), || cdat_bottomup::min_time(cd), || cdat_bdd::fuse::min_time(cd))?;
+    Ok(front.entries().first().cloned())
 }
 
 /// Maximal single-attack success probability of any cdp-AT: `AND`
 /// multiplies child probabilities, `OR` takes the likelier child (the
-/// Viterbi semiring, [`cdat_pareto::MaxProb`]) — the likeliest *single*
-/// attack, unlike [`cedpf`]'s combinators which let the attacker attempt
-/// several alternatives. The returned entry carries the probability in its
-/// cost slot (damage 0) and a witness attack achieving it.
+/// Viterbi semiring, [`cdat_pareto::MaxProb`]; on DAG-like trees shared
+/// BASs succeed once, so their probability is multiplied once) — the
+/// likeliest *single* attack, unlike [`cedpf`]'s combinators which let the
+/// attacker attempt several alternatives. The returned entry carries the
+/// probability in its cost slot (damage 0) and a witness attack achieving
+/// it.
 ///
-/// Treelike trees run the bottom-up kernel; DAG-like trees the BDD-fused
-/// kernel (shared BASs succeed once, so their probability is multiplied
-/// once), with exact enumeration as fallback if the decision diagram
-/// exceeds its node budget.
+/// # Errors
 ///
-/// # Panics
-///
-/// Panics on DAG-like trees that exhaust the diagram budget *and* have
-/// more than [`cdat_enumerative::MAX_ENUM_BAS`] BASs (the batch engine
-/// returns a clean error instead).
-pub fn max_prob(cdp: &CdpAttackTree) -> Option<FrontEntry> {
-    let front = match cdat_bottomup::max_prob(cdp) {
-        Ok(front) => front,
-        Err(_) => {
-            cdat_bdd::fuse::max_prob(cdp).unwrap_or_else(|_| cdat_enumerative::max_prob(cdp, true))
-        }
-    };
-    front.entries().first().cloned()
+/// Returns [`AddLimit`] when a DAG-like tree's decision diagram exceeds
+/// the node budget.
+pub fn max_prob(cdp: &CdpAttackTree) -> Result<Option<FrontEntry>, AddLimit> {
+    let front =
+        by_shape(cdp.tree(), || cdat_bottomup::max_prob(cdp), || cdat_bdd::fuse::max_prob(cdp))?;
+    Ok(front.entries().first().cloned())
 }
 
 /// Exact CEDPF for **any** cdp-AT by exhaustive enumeration on DAG-like
-/// trees (BDD-exact per-attack expected damage) — the oracle the polynomial
+/// trees (BDD-exact per-attack expected damage; treelike trees, where the
+/// shape rule picks bottom-up, use it) — the oracle the polynomial
 /// [`cedpf`] path is differentially tested against.
 ///
 /// # Panics
@@ -172,9 +173,9 @@ pub fn max_prob(cdp: &CdpAttackTree) -> Option<FrontEntry> {
 /// [`cdat_enumerative::MAX_ENUM_BAS`] BASs, where enumeration is
 /// intractable.
 pub fn cedpf_exhaustive(cdp: &CdpAttackTree) -> ParetoFront {
-    match cdat_bottomup::cedpf(cdp) {
-        Ok(front) => front,
-        Err(_) => cdat_enumerative::cedpf_dag(cdp, true),
+    match SolverBackend::for_shape(cdp.tree()) {
+        SolverBackend::BottomUp => cdat_bottomup::cedpf(cdp).expect("the tree is treelike"),
+        _ => cdat_enumerative::cedpf_dag(cdp, true),
     }
 }
 

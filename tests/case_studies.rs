@@ -8,7 +8,7 @@ use cdat_models::{dataserver, panda, panda_attack, panda_cdp};
 #[test]
 fn panda_deterministic_front_is_fig_6a() {
     let cd = panda();
-    let front = solve::cdpf(&cd);
+    let front = solve::cdpf(&cd).unwrap();
     let expect = [
         (0.0, 0.0),
         (3.0, 20.0),
@@ -46,7 +46,7 @@ fn panda_deterministic_front_is_fig_6a() {
 #[ignore = "enumerates 2^22 attacks (~10 s in release); run with --ignored"]
 fn panda_front_agrees_with_full_enumeration() {
     let cd = panda();
-    let bu = solve::cdpf(&cd);
+    let bu = solve::cdpf(&cd).unwrap();
     let en = cdat_enumerative::cdpf(&cd, false);
     assert!(bu.approx_eq(&en, 1e-9));
 }
@@ -138,8 +138,8 @@ fn panda_probabilistic_front_snapshot() {
 #[test]
 fn dataserver_front_is_fig_6c() {
     let cd = dataserver();
-    assert_eq!(solve::backend_for(&cd), solve::SolverBackend::BddFused);
-    let front = solve::cdpf(&cd);
+    assert_eq!(solve::SolverBackend::for_shape(cd.tree()), solve::SolverBackend::BddFused);
+    let front = solve::cdpf(&cd).unwrap();
     let expect =
         [(0.0, 0.0), (250.0, 24.0), (568.0, 60.0), (976.0, 70.8), (1131.0, 75.8), (1281.0, 82.8)];
     assert_eq!(front.len(), expect.len(), "paper: 5 nonzero Pareto-optimal attacks; got {front}");
@@ -172,15 +172,15 @@ fn dataserver_front_is_fig_6c() {
 #[test]
 fn single_objective_answers_match_fronts() {
     for cd in [panda(), dataserver()] {
-        let front = solve::cdpf(&cd);
+        let front = solve::cdpf(&cd).unwrap();
         for budget in [0.0, 3.0, 10.0, 250.0, 600.0, 10_000.0] {
             let via_front = front.max_damage_within(budget).map(|e| e.point.damage);
-            let direct = solve::dgc(&cd, budget).map(|e| e.point.damage);
+            let direct = solve::dgc(&cd, budget).unwrap().map(|e| e.point.damage);
             assert_eq!(direct, via_front, "DgC({budget})");
         }
         for threshold in [0.0, 20.0, 50.0, 75.8, 100.0] {
             let via_front = front.min_cost_achieving(threshold).map(|e| e.point.cost);
-            let direct = solve::cgd(&cd, threshold).map(|e| e.point.cost);
+            let direct = solve::cgd(&cd, threshold).unwrap().map(|e| e.point.cost);
             assert_eq!(direct, via_front, "CgD({threshold})");
         }
     }
@@ -213,9 +213,9 @@ fn probabilistic_single_objective_answers_match_front() {
 #[test]
 fn factory_example_fig_3() {
     let cd = cdat_models::factory();
-    assert_eq!(solve::backend_for(&cd), solve::SolverBackend::BottomUp);
-    let front = solve::cdpf(&cd);
+    assert_eq!(solve::SolverBackend::for_shape(cd.tree()), solve::SolverBackend::BottomUp);
+    let front = solve::cdpf(&cd).unwrap();
     assert_eq!(front.to_string(), "{(0, 0), (1, 200), (3, 210), (5, 310)}");
-    assert_eq!(solve::dgc(&cd, 2.0).unwrap().point.damage, 200.0);
-    assert_eq!(solve::cgd(&cd, 201.0).unwrap().point.cost, 3.0);
+    assert_eq!(solve::dgc(&cd, 2.0).unwrap().unwrap().point.damage, 200.0);
+    assert_eq!(solve::cgd(&cd, 201.0).unwrap().unwrap().point.cost, 3.0);
 }

@@ -342,7 +342,7 @@ fn example_document_reproduces_the_figure_3_front() {
     assert!(out.status.success());
     let text = String::from_utf8(out.stdout).unwrap();
     let cdp = cdat_format::parse(&text).expect("example document parses");
-    let front = cdat::solve::cdpf(cdp.cd());
+    let front = cdat::solve::cdpf(cdp.cd()).unwrap();
     assert_eq!(front.to_string(), "{(0, 0), (1, 200), (3, 210), (5, 310)}");
 
     // CLI level: the printed table shows the same four points, one per row.

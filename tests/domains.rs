@@ -77,20 +77,20 @@ fn scalar_kernels_agree_with_enumeration_on_random_trees() {
     }
 }
 
-/// The facade solvers dispatch on shape: treelike trees run the kernel,
-/// DAG-like trees fall back to enumeration — same answers either way.
+/// The facade solvers dispatch on shape: treelike trees run the bottom-up
+/// kernel, DAG-like trees the BDD-fused one — both agree with enumeration.
 #[test]
 fn facade_scalar_solvers_handle_both_shapes() {
     // Treelike: the paper's factory model.
     let factory = cdat_models::factory_cdp();
-    let mt = cdat::solve::min_time(factory.cd()).expect("factory has attacks");
+    let mt = cdat::solve::min_time(factory.cd()).unwrap().expect("factory has attacks");
     assert!((mt.point.cost - 1.0).abs() < 1e-12, "cyberattack alone is fastest");
-    let mp = cdat::solve::max_prob(&factory).expect("factory has attacks");
+    let mp = cdat::solve::max_prob(&factory).unwrap().expect("factory has attacks");
     assert!((mp.point.cost - 0.4 * 0.9).abs() < 1e-12, "bomb+door is likelier than 0.2");
 
     // DAG-like: the data-server case study, against enumeration directly.
     let server = cdat_models::dataserver();
-    let via_facade = cdat::solve::min_time(&server).expect("dataserver has attacks");
+    let via_facade = cdat::solve::min_time(&server).unwrap().expect("dataserver has attacks");
     let via_enum = cdat::enumerative::min_time(&server, true);
     assert_eq!(via_facade.point.cost, via_enum.entries()[0].point.cost);
     assert!(server.tree().reaches_root(via_facade.witness.as_ref().expect("witnessed")));
@@ -214,20 +214,24 @@ fn domains_stay_isolated_across_warm_restart() {
     let _ = std::fs::remove_file(&path);
 }
 
-/// Scalar queries reject the BILP hint cleanly (it answers only
-/// cost-damage queries) without poisoning the cache for valid requests.
+/// Scalar queries reject an incompatible hint (bottom-up on a DAG-like
+/// tree) cleanly, without poisoning the cache for valid requests.
 #[test]
-fn scalar_queries_reject_the_bilp_hint() {
-    let tree = Arc::new(cdat_models::factory_cdp());
+fn scalar_queries_reject_incompatible_hints() {
+    let server = cdat_models::dataserver();
+    let expected = cdat::solve::min_time(&server).unwrap().expect("dataserver has attacks");
+    let tree = Arc::new(server.with_probabilities().finish().expect("certain probabilities"));
     let engine = Engine::new(1);
-    let bad = BatchRequest::new(tree.clone(), Query::MinTime).with_hint(SolverHint::Bilp);
+    let bad = BatchRequest::new(tree.clone(), Query::MinTime).with_hint(SolverHint::BottomUp);
     let results = engine.run(&[bad]);
     match &results[0].response {
-        Response::Error(e) => assert!(e.contains("cost-damage"), "unexpected message: {e}"),
+        Response::Error(e) => assert!(e.contains("treelike"), "unexpected message: {e}"),
         other => panic!("expected an error, got {other:?}"),
     }
     // The rejection must not have cached anything that shadows the real
     // answer.
+    assert_eq!(engine.cache().stats().entries, 0);
     let good = engine.run(&[BatchRequest::new(tree, Query::MinTime)]);
-    assert!((scalar_value(&good[0].response).expect("reachable") - 1.0).abs() < 1e-12);
+    assert!(!good[0].cache_hit);
+    assert_eq!(scalar_value(&good[0].response), Some(expected.point.cost));
 }

@@ -39,7 +39,7 @@ fn engine_agrees_with_sequential_on_treelike_suites() {
     let results = solve::batch(&requests, 4);
 
     for (i, cdp) in suite.iter().enumerate() {
-        let front = solve::cdpf(cdp.cd());
+        let front = solve::cdpf(cdp.cd()).unwrap();
         match &results[4 * i].response {
             Response::Front(engine_front) => {
                 assert!(
@@ -61,11 +61,11 @@ fn engine_agrees_with_sequential_on_treelike_suites() {
         assert_eq!(point_of(&results[4 * i + 2].response), expect_cgd, "tree {i} CgD");
         // ... and they agree with the dedicated solvers on the optimum.
         if let Some(p) = expect_dgc {
-            let direct = solve::dgc(cdp.cd(), 7.0).expect("nonnegative budget");
+            let direct = solve::dgc(cdp.cd(), 7.0).unwrap().expect("nonnegative budget");
             assert!((direct.point.damage - p.damage).abs() < 1e-9, "tree {i} DgC optimum");
         }
         if let Some(p) = expect_cgd {
-            let direct = solve::cgd(cdp.cd(), 5.0).expect("attainable threshold");
+            let direct = solve::cgd(cdp.cd(), 5.0).unwrap().expect("attainable threshold");
             assert!((direct.point.cost - p.cost).abs() < 1e-9, "tree {i} CgD optimum");
         }
         let cedpf = solve::cedpf(cdp).expect("treelike");
@@ -98,7 +98,7 @@ fn engine_agrees_with_sequential_on_dag_suites() {
     let mut saw_dag = false;
     for (i, cdp) in suite.iter().enumerate() {
         saw_dag |= !cdp.tree().is_treelike();
-        let front = solve::cdpf(cdp.cd());
+        let front = solve::cdpf(cdp.cd()).unwrap();
         match &results[2 * i].response {
             Response::Front(engine_front) => {
                 assert!(engine_front.approx_eq(&front, 0.0), "tree {i}: CDPF mismatch")

@@ -197,46 +197,62 @@ fn backend_counters_partition_requests_across_a_server() {
         witnesses: false,
         prefix: format!("{{\"id\":{id}"),
     };
+    // One BAS past the enumerative solver's cap.
+    let wide_text: String = (0..=cdat::enumerative::MAX_ENUM_BAS)
+        .map(|i| format!("  bas b{i} cost=1 damage=1\n"))
+        .collect();
+    let wide: Arc<CdpAttackTree> =
+        Arc::new(cdat_format::parse(&format!("or wide\n{wide_text}")).expect("valid tree"));
     let mut batch = treelike;
     // Auto on a DAG routes to the fused solver; explicit hints force their
-    // backend; bottom-up on a DAG is the one invalid combination here.
+    // backend; bottom-up on a DAG and enumerative past its cap are the two
+    // invalid combinations here.
     batch.push(hinted(&dag, SolverHint::Auto, 100));
     batch.push(hinted(&dag, SolverHint::Auto, 101));
     let bu_tree = batch[0].tree.clone();
     batch.push(hinted(&bu_tree, SolverHint::Bdd, 102));
     batch.push(hinted(&dag, SolverHint::Enumerative, 103));
     batch.push(hinted(&dag, SolverHint::Enumerative, 104));
-    batch.push(hinted(&bu_tree, SolverHint::Bilp, 105));
+    batch.push(hinted(&wide, SolverHint::Enumerative, 105));
     batch.push(hinted(&dag, SolverHint::BottomUp, 106));
     let expected = batch.len();
     let lines = router.solve(batch);
     assert_eq!(lines.len(), expected);
     let errors: Vec<&String> = lines.iter().filter(|l| l.contains("\"error\":")).collect();
-    assert_eq!(errors.len(), 1, "only the bottom-up-on-a-DAG request errors");
+    assert_eq!(errors.len(), 2, "only the two invalid hints error");
+    let line = |id: usize| {
+        let prefix = format!("{{\"id\":{id},");
+        lines.iter().find(|l| l.starts_with(&prefix)).expect("one line per request")
+    };
+    let (wide_error, dag_error) = (line(105), line(106));
     assert!(
-        errors[0].contains("the bottom-up solver requires a treelike tree; use solver auto or bdd"),
-        "{}",
-        errors[0]
+        wide_error.contains("the enumerative solver enumerates attacks and supports at most 30"),
+        "{wide_error}"
+    );
+    assert!(
+        dag_error.contains("the bottom-up solver requires a treelike tree; use solver auto or bdd"),
+        "{dag_error}"
     );
 
     // Backend counters partition the counted requests exactly: the
-    // rejected hint is counted in invalid_hints and nowhere else.
+    // rejected hints are counted in invalid_hints and nowhere else.
     let snapshot = router.snapshot();
     let families_total: u64 = snapshot.engine.families.iter().map(|f| f.requests).sum();
     let backends_total: u64 = snapshot.engine.backends.iter().sum();
-    assert_eq!(families_total, (expected - 1) as u64);
+    assert_eq!(families_total, (expected - 2) as u64);
     assert_eq!(backends_total, families_total, "backends partition counted requests");
-    assert_eq!(snapshot.engine.invalid_hints, 1);
-    // index order: bottomup, bdd, enumerative, bilp (SolverBackend::ALL).
-    assert_eq!(snapshot.engine.backends, [12, 3, 2, 1]);
+    assert_eq!(snapshot.engine.invalid_hints, 2);
+    // index order: bottomup, bdd, enumerative (SolverBackend::ALL).
+    assert_eq!(snapshot.engine.backends, [12, 3, 2]);
 
     // The exposition carries one labeled sample per backend.
     let text = protocol::metrics_text(&snapshot);
-    for (label, count) in [("bottomup", 12), ("bdd", 3), ("enumerative", 2), ("bilp", 1)] {
+    for (label, count) in [("bottomup", 12), ("bdd", 3), ("enumerative", 2)] {
         let sample = format!("cdat_backend_requests_total{{backend=\"{label}\"}} {count}");
         assert!(text.contains(&sample), "missing {sample} in:\n{text}");
     }
-    assert!(text.contains("cdat_invalid_hints_total 1"), "{text}");
+    assert_eq!(text.matches("cdat_backend_requests_total{").count(), 3, "{text}");
+    assert!(text.contains("cdat_invalid_hints_total 2"), "{text}");
 
     // Backend transparency: the hinted fused request on the treelike tree
     // answered the same bytes as its auto-routed bottom-up twin.

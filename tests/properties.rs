@@ -79,7 +79,7 @@ fn front_is_a_dominating_antichain() {
     for case in 0..CASES {
         let rng = &mut StdRng::seed_from_u64(0x0F00 + case);
         let cd = cd_tree(rng);
-        let front = solve::cdpf(&cd);
+        let front = solve::cdpf(&cd).unwrap();
         assert!(front.is_antichain(), "case {case}");
         assert!(front.points().any(|p| p.cost == 0.0), "case {case}");
         assert!(front.dominates(CostDamage::new(0.0, 0.0)), "case {case}");
@@ -98,7 +98,7 @@ fn witnesses_are_faithful() {
     for case in 0..CASES {
         let rng = &mut StdRng::seed_from_u64(0x1F00 + case);
         let cd = cd_tree(rng);
-        for e in solve::cdpf(&cd).entries() {
+        for e in solve::cdpf(&cd).unwrap().entries() {
             let w = e.witness.as_ref().expect("witnesses tracked");
             assert_eq!(cd.cost_of(w), e.point.cost, "case {case}");
             assert_eq!(cd.damage_of(w), e.point.damage, "case {case}");
@@ -114,15 +114,15 @@ fn dgc_is_monotone_and_budget_respecting() {
         let rng = &mut StdRng::seed_from_u64(0x2F00 + case);
         let cd = cd_tree(rng);
         let budget = rng.gen_range(0.0..20.0);
-        let front = solve::cdpf(&cd);
-        let a = solve::dgc(&cd, budget).expect("nonnegative budget");
+        let front = solve::cdpf(&cd).unwrap();
+        let a = solve::dgc(&cd, budget).unwrap().expect("nonnegative budget");
         assert!(a.point.cost <= budget, "case {case}");
         assert_eq!(
             a.point.damage,
             front.max_damage_within(budget).unwrap().point.damage,
             "case {case}"
         );
-        let b = solve::dgc(&cd, budget + 1.0).expect("nonnegative budget");
+        let b = solve::dgc(&cd, budget + 1.0).unwrap().expect("nonnegative budget");
         assert!(b.point.damage >= a.point.damage, "case {case}");
     }
 }
@@ -135,9 +135,9 @@ fn cgd_round_trips_through_dgc() {
         let rng = &mut StdRng::seed_from_u64(0x3F00 + case);
         let cd = cd_tree(rng);
         let threshold = rng.gen_range(0.0..1.0) * cd.max_damage();
-        if let Some(e) = solve::cgd(&cd, threshold) {
+        if let Some(e) = solve::cgd(&cd, threshold).unwrap() {
             assert!(e.point.damage >= threshold, "case {case}");
-            let back = solve::dgc(&cd, e.point.cost).expect("nonnegative");
+            let back = solve::dgc(&cd, e.point.cost).unwrap().expect("nonnegative");
             assert!(back.point.damage >= threshold, "case {case}");
         } else {
             assert!(threshold > cd.max_damage(), "case {case}");
@@ -152,7 +152,7 @@ fn certain_probabilities_recover_deterministic_front() {
     for case in 0..CASES {
         let rng = &mut StdRng::seed_from_u64(0x4F00 + case);
         let cd = cd_tree(rng);
-        let det = solve::cdpf(&cd);
+        let det = solve::cdpf(&cd).unwrap();
         let cdp = cd.with_probabilities().finish().expect("valid");
         let prob = solve::cedpf(&cdp).expect("treelike");
         assert!(det.equivalent(&prob, 1e-9), "case {case}: det {det} vs prob-with-p=1 {prob}");
@@ -166,7 +166,7 @@ fn probabilistic_front_lies_below_deterministic() {
     for case in 0..CASES {
         let rng = &mut StdRng::seed_from_u64(0x5F00 + case);
         let cdp = cdp_tree(rng);
-        let det = solve::cdpf(cdp.cd());
+        let det = solve::cdpf(cdp.cd()).unwrap();
         let prob = solve::cedpf(&cdp).expect("treelike");
         for e in prob.entries() {
             assert!(

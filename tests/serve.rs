@@ -393,7 +393,7 @@ fn an_oversized_line_answers_one_short_error_and_reading_goes_on() {
 #[test]
 fn stdio_protocol_handles_hints_errors_and_suites() {
     let input = concat!(
-        // Force BILP on a treelike tree: same front as auto.
+        // The retired BILP backend's name is an alias of auto.
         r#"{"id":0,"tree":"or g damage=7\n  bas x cost=3\n","solver":"bilp"}"#,
         "\n",
         r#"{"id":1,"tree":"or g damage=7\n  bas x cost=3\n"}"#,
@@ -423,4 +423,40 @@ fn stdio_protocol_handles_hints_errors_and_suites() {
         lines[5],
         "{\"id\":4,\"doc\":1,\"name\":\"q\",\"query\":\"cdpf\",\"front\":[[0,0],[4,3]]}"
     );
+
+    // `bilp` names the retired BILP backend and is an alias of `auto`:
+    // every query on either shape answers the bytes of the unhinted
+    // request, witnesses included (the alias goes first on the treelike
+    // tree, second on the DAG, so either may compute the shared entry).
+    let treelike = r#""tree":"or g damage=7\n  and h damage=2\n    bas x cost=3 prob=0.5\n    bas y cost=1\n  bas z cost=2 damage=4 prob=0.25\n""#;
+    let dag = r#""tree":"or r damage=5\n  and g1 damage=2\n    bas x cost=1 prob=0.5\n    bas y cost=2\n  and g2 damage=3\n    ref x\n    bas z cost=1 prob=0.8\n""#;
+    let queries = [
+        r#""query":"cdpf""#,
+        r#""query":"cedpf""#,
+        r#""query":"dgc","arg":3"#,
+        r#""query":"cgd","arg":4"#,
+        r#""query":"edgc","arg":3"#,
+        r#""query":"cged","arg":1"#,
+        r#""query":"min-time""#,
+        r#""query":"max-prob""#,
+    ];
+    let mut input = String::new();
+    let mut id = 0;
+    for (tree, alias_first) in [(treelike, true), (dag, false)] {
+        for query in queries {
+            for alias in [alias_first, !alias_first] {
+                let hint = if alias { r#","solver":"bilp""# } else { "" };
+                input += &format!("{{\"id\":{id},{tree},{query},\"witnesses\":true{hint}}}\n");
+                id += 1;
+            }
+        }
+    }
+    let mut lines = serve_stdio(&["--workers", "2"], input);
+    lines.sort_by_key(|line| int_field(line, "id"));
+    assert_eq!(lines.len(), 32);
+    let body = |line: &str| line.split_once(',').expect("id, then the body").1.to_owned();
+    for pair in lines.chunks(2) {
+        assert!(!pair[0].contains("\"error\""), "{}", pair[0]);
+        assert_eq!(body(&pair[0]), body(&pair[1]), "{pair:?}");
+    }
 }

@@ -20,15 +20,18 @@ fn treelike_deterministic_three_way_agreement() {
     }
 }
 
-/// Deterministic, DAG-like: BILP and enumeration must coincide.
+/// Deterministic, DAG-like: the shape-dispatched facade (BDD-fused on
+/// DAGs), the paper's BILP encoding and enumeration must coincide.
 #[test]
 fn dag_deterministic_agreement() {
     let mut rng = StdRng::seed_from_u64(2024);
     for case in 0..120 {
         let tree = cdat_gen::random_small(&mut rng, 8, false);
         let cd = cdat_gen::decorate(tree, &mut rng);
-        let bilp = solve::cdpf(&cd);
+        let dispatched = solve::cdpf(&cd).unwrap();
         let en = cdat_enumerative::cdpf(&cd, false);
+        assert!(dispatched.approx_eq(&en, 1e-9), "case {case}: facade {dispatched} vs enum {en}");
+        let bilp = cdat_bilp::cdpf(&cd);
         assert!(bilp.approx_eq(&en, 1e-9), "case {case}: BILP {bilp} vs enum {en}");
     }
 }
@@ -84,7 +87,7 @@ fn single_objective_agreement() {
         for _ in 0..4 {
             let budget = rng.gen_range(0.0..=max_cost + 2.0);
             let reference = cdat_enumerative::dgc(&cd, budget).map(|e| e.point.damage);
-            let dispatched = solve::dgc(&cd, budget).map(|e| e.point.damage);
+            let dispatched = solve::dgc(&cd, budget).unwrap().map(|e| e.point.damage);
             assert_eq!(dispatched, reference, "case {case}: DgC({budget})");
             if cd.tree().is_treelike() {
                 let via_bilp = cdat_bilp::dgc(&cd, budget).map(|e| e.point.damage);
@@ -92,7 +95,7 @@ fn single_objective_agreement() {
             }
             let threshold = rng.gen_range(0.0..=max_damage + 2.0);
             let reference = cdat_enumerative::cgd(&cd, threshold).map(|e| e.point.cost);
-            let dispatched = solve::cgd(&cd, threshold).map(|e| e.point.cost);
+            let dispatched = solve::cgd(&cd, threshold).unwrap().map(|e| e.point.cost);
             assert_eq!(dispatched, reference, "case {case}: CgD({threshold})");
         }
     }
@@ -107,8 +110,8 @@ fn binarization_preserves_all_fronts() {
         let tree = cdat_gen::random_small(&mut rng, 7, treelike);
         let cd = cdat_gen::decorate(tree, &mut rng);
         let (bin_cd, _) = cdat::core::binarize_cd(&cd);
-        let a = solve::cdpf(&cd);
-        let b = solve::cdpf(&bin_cd);
+        let a = solve::cdpf(&cd).unwrap();
+        let b = solve::cdpf(&bin_cd).unwrap();
         assert!(a.approx_eq(&b, 1e-9), "case {case}: {a} vs binarized {b}");
     }
 }

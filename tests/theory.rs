@@ -32,7 +32,7 @@ fn knapsack_optimization_via_dgc() {
                 best = best.max(v);
             }
         }
-        let via_dgc = solve::dgc(&cd, capacity).expect("nonnegative budget").point.damage;
+        let via_dgc = solve::dgc(&cd, capacity).unwrap().expect("nonnegative budget").point.damage;
         assert_eq!(via_dgc, best, "case {case}: knapsack optimum mismatch");
     }
 }
@@ -69,7 +69,7 @@ fn theorem_2_trees_solve_correctly() {
         // max damage is max f, the min cost achieving max f is 0.
         let max_f = f.iter().copied().fold(0.0f64, f64::max);
         assert_eq!(cd.max_damage(), max_f, "case {case}");
-        let front = solve::cdpf(&cd);
+        let front = solve::cdpf(&cd).unwrap();
         assert_eq!(front.min_cost_achieving(max_f).unwrap().point.cost, 0.0);
         // And the decision problem agrees with direct evaluation.
         assert!(theory::cddp(&cd, 0.0, max_f).is_some());
@@ -89,7 +89,8 @@ fn cddp_agrees_with_dgc_based_decision() {
         let budget = rng.gen_range(0.0..=cd.total_cost() + 1.0);
         let threshold = rng.gen_range(0.0..=cd.max_damage() + 1.0);
         let reference = theory::cddp(&cd, budget, threshold).is_some();
-        let via_dgc = solve::dgc(&cd, budget).map(|e| e.point.damage >= threshold).unwrap_or(false);
+        let via_dgc =
+            solve::dgc(&cd, budget).unwrap().map(|e| e.point.damage >= threshold).unwrap_or(false);
         assert_eq!(reference, via_dgc, "case {case}: CDDP disagreement");
     }
 }

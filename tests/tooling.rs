@@ -12,7 +12,7 @@ fn models_round_trip_through_the_text_format_with_equal_fronts() {
     // Treelike with probabilities.
     let panda = cdat_models::panda_cdp();
     let reparsed = format::parse(&format::write(&panda)).expect("panda renders and reparses");
-    assert!(solve::cdpf(panda.cd()).approx_eq(&solve::cdpf(reparsed.cd()), 1e-9));
+    assert!(solve::cdpf(panda.cd()).unwrap().approx_eq(&solve::cdpf(reparsed.cd()).unwrap(), 1e-9));
     assert!(solve::cedpf(&panda)
         .expect("treelike")
         .equivalent(&solve::cedpf(&reparsed).expect("treelike"), 1e-9));
@@ -21,7 +21,7 @@ fn models_round_trip_through_the_text_format_with_equal_fronts() {
     let server = cdat_models::dataserver();
     let reparsed = format::parse_cd(&format::write_cd(&server)).expect("server reparses");
     assert!(!reparsed.tree().is_treelike());
-    assert!(solve::cdpf(&server).approx_eq(&solve::cdpf(&reparsed), 1e-9));
+    assert!(solve::cdpf(&server).unwrap().approx_eq(&solve::cdpf(&reparsed).unwrap(), 1e-9));
 }
 
 /// Random trees: text round-trip preserves fronts (the strongest semantic
@@ -36,7 +36,7 @@ fn random_trees_round_trip_with_equal_fronts() {
         let text = format::write(&cdp);
         let reparsed = format::parse(&text).unwrap_or_else(|e| panic!("case {case}: {e}\n{text}"));
         assert!(
-            solve::cdpf(cdp.cd()).approx_eq(&solve::cdpf(reparsed.cd()), 1e-9),
+            solve::cdpf(cdp.cd()).unwrap().approx_eq(&solve::cdpf(reparsed.cd()).unwrap(), 1e-9),
             "case {case}: deterministic front changed across round-trip"
         );
         if treelike {
@@ -59,12 +59,12 @@ fn defended_fronts_are_dominated_by_undefended_fronts() {
         let treelike = rng.gen_bool(0.5);
         let tree = cdat_gen::random_small(&mut rng, 7, treelike);
         let cd = cdat_gen::decorate(tree, &mut rng);
-        let undefended = solve::cdpf(&cd);
+        let undefended = solve::cdpf(&cd).unwrap();
         let victim = cdat::BasId::new(rng.gen_range(0..cd.tree().bas_count()));
         match defend(&cd, &[victim]) {
             Defended::Neutralized => {}
             Defended::Residual(residual, _) => {
-                for p in solve::cdpf(&residual).points() {
+                for p in solve::cdpf(&residual).unwrap().points() {
                     assert!(
                         undefended.dominates_within(p, 1e-9),
                         "case {case}: defended point {p} beats the undefended front {undefended}"
@@ -89,7 +89,7 @@ fn ranking_predictions_are_accurate() {
             let residual = match defend(&cd, &[effect.bas]) {
                 Defended::Neutralized => 0.0,
                 Defended::Residual(residual, _) => {
-                    solve::dgc(&residual, budget).map(|e| e.point.damage).unwrap_or(0.0)
+                    solve::dgc(&residual, budget).unwrap().map(|e| e.point.damage).unwrap_or(0.0)
                 }
             };
             assert_eq!(residual, effect.residual_damage, "case {case}: {}", effect.name);
@@ -103,7 +103,7 @@ fn ranking_predictions_are_accurate() {
 #[test]
 fn minimal_attacks_are_consistent_with_the_front() {
     for cd in [cdat_models::factory(), cdat_models::panda(), cdat_models::dataserver()] {
-        let front = solve::cdpf(&cd);
+        let front = solve::cdpf(&cd).unwrap();
         let minimal = cdat::analysis::minimal_attacks(cd.tree());
         assert!(!minimal.is_empty());
         let min_cost_successful =
@@ -117,7 +117,7 @@ fn minimal_attacks_are_consistent_with_the_front() {
         // costs at least the cheapest minimal attack.
         let root_damage = cd.damage(cd.tree().root());
         if root_damage > 0.0 {
-            let via_front = solve::cgd(&cd, root_damage).expect("top is reachable");
+            let via_front = solve::cgd(&cd, root_damage).unwrap().expect("top is reachable");
             assert!(via_front.point.cost <= min_cost_successful + 1e-9);
         }
     }
@@ -159,14 +159,14 @@ fn readme_factory_model_matches_its_documented_answers() {
     let cdp = format::parse(model).expect("the README model must stay parseable");
 
     // The quickstart's front, quoted twice (Rust block and CLI table).
-    let front = solve::cdpf(cdp.cd());
+    let front = solve::cdpf(cdp.cd()).unwrap();
     assert_eq!(front.to_string(), "{(0, 0), (1, 200), (3, 210), (5, 310)}");
     assert!(readme.contains("{(0, 0), (1, 200), (3, 210), (5, 310)}"));
 
     // The attribute-domain section's scalar claims.
-    let mt = solve::min_time(cdp.cd()).expect("factory has attacks");
+    let mt = solve::min_time(cdp.cd()).unwrap().expect("factory has attacks");
     assert_eq!(mt.point.cost, 1.0);
-    let mp = solve::max_prob(&cdp).expect("factory has attacks");
+    let mp = solve::max_prob(&cdp).unwrap().expect("factory has attacks");
     assert_eq!(mp.point.cost, 0.4 * 0.9);
 }
 
@@ -402,6 +402,6 @@ fn example_6_exponential_front() {
             .expect("valid damage");
     }
     let cd = builder.finish().expect("valid");
-    let front = solve::cdpf(&cd);
+    let front = solve::cdpf(&cd).unwrap();
     assert_eq!(front.len(), 1 << n, "every subset is Pareto optimal");
 }
