@@ -18,6 +18,17 @@
 //! witnesses included, is therefore *identical* (not merely equivalent) to a
 //! from-scratch solve; the engine and server lean on this to serve what-if
 //! responses byte-identical to uncached ones.
+//!
+//! **Witness-free fold**: when the caller does not want witnesses
+//! (`witnesses == false`), dirty leaves and gate products carry `None`
+//! payloads instead of building an [`Attack`] union per kept entry. The
+//! values, and their order, are the same as in the witnessed fold, because
+//! no step looks at a payload when it decides what survives or where:
+//! [`GateScratch::combine`] pops candidates by value and breaks ties on
+//! (row, col), [`GateScratch::settle`] and [`Staircase::minimized`] sort
+//! stably on values and collapse duplicates by value, and
+//! [`ParetoFront::from_entries`] sorts on points. So the witness-free root
+//! front is the witnessed one with its witnesses stripped.
 
 use cdat_core::{Attack, AttackTree, BasId, NodeId, NodeType, NotTreelike};
 use cdat_pareto::{Activation, GateScratch, Prob, Staircase, Triple};
@@ -93,11 +104,14 @@ impl<A: Activation> RetainedFronts<A> {
     /// * `node_type` — the **patched** node type (gate swaps applied);
     /// * `touched` — the nodes whose own front the patch changes
     ///   ([`cdat_core::TreePatch::touched`]); ancestors are closed over
-    ///   internally.
+    ///   internally;
+    /// * `witnesses` — whether recomputed entries carry witness attacks.
     ///
     /// Returns the projected root front — bit-for-bit what a scratch solve
     /// of the patched tree returns (see the module docs) — plus the dirty /
-    /// reuse counters.
+    /// reuse counters. Without `witnesses`, recomputed entries carry `None`
+    /// (entries reused verbatim may still carry theirs); the points are
+    /// the same either way.
     pub fn delta(
         &self,
         tree: &AttackTree,
@@ -105,6 +119,7 @@ impl<A: Activation> RetainedFronts<A> {
         leaf: impl Fn(BasId) -> Option<Triple<A>>,
         node_type: impl Fn(NodeId) -> NodeType,
         touched: &[NodeId],
+        witnesses: bool,
     ) -> (ParetoFront, DeltaStats) {
         let n = tree.node_count();
         assert_eq!(self.fronts.len(), n, "retained solve matches the tree");
@@ -134,6 +149,13 @@ impl<A: Activation> RetainedFronts<A> {
 
         let mut scratch: GateScratch<cdat_pareto::CdTriples<A>, Option<Attack>> =
             GateScratch::new();
+        let join = |a: &Option<Attack>, b: &Option<Attack>| {
+            if witnesses {
+                join_witnesses(a, b)
+            } else {
+                None
+            }
+        };
         let mut fresh: Vec<Option<Front<A>>> = vec![None; n];
         // Ids are topological (children before parents), so one ascending
         // pass settles every dirty node after its children.
@@ -147,9 +169,9 @@ impl<A: Activation> RetainedFronts<A> {
                     let b = tree.bas_of_node(v).expect("leaf has a BAS id");
                     let n_bas = tree.bas_count();
                     let mut entries = Vec::with_capacity(2);
-                    entries.push((Triple::zero(), Some(Attack::empty(n_bas))));
+                    entries.push((Triple::zero(), witnesses.then(|| Attack::empty(n_bas))));
                     if let Some(active) = leaf(b) {
-                        entries.push((active, Some(Attack::from_bas_ids(n_bas, [b]))));
+                        entries.push((active, witnesses.then(|| Attack::from_bas_ids(n_bas, [b]))));
                     }
                     Staircase::minimized(entries, None)
                 }
@@ -164,16 +186,10 @@ impl<A: Activation> RetainedFronts<A> {
                     if let [only] = kids {
                         scratch.settle_cloned(child(*only), dv)
                     } else {
-                        let mut acc = scratch.combine(
-                            or_gate,
-                            child(kids[0]),
-                            child(kids[1]),
-                            None,
-                            join_witnesses,
-                        );
+                        let mut acc =
+                            scratch.combine(or_gate, child(kids[0]), child(kids[1]), None, join);
                         for c in &kids[2..] {
-                            let next =
-                                scratch.combine(or_gate, &acc, child(*c), None, join_witnesses);
+                            let next = scratch.combine(or_gate, &acc, child(*c), None, join);
                             scratch.recycle(acc);
                             acc = next;
                         }
@@ -239,21 +255,32 @@ mod tests {
             }
             t
         };
-        let (front, stats) = retained.delta(
-            base.tree(),
-            &damages,
-            |b| {
-                Some(Triple {
-                    cost: costs[b.index()],
-                    damage: damages[base.tree().node_of_bas(b).index()],
-                    act: true,
-                })
-            },
-            |v| types[v.index()],
-            &patch.touched(base.tree()),
-        );
+        let delta = |witnesses: bool| {
+            retained.delta(
+                base.tree(),
+                &damages,
+                |b| {
+                    Some(Triple {
+                        cost: costs[b.index()],
+                        damage: damages[base.tree().node_of_bas(b).index()],
+                        act: true,
+                    })
+                },
+                |v| types[v.index()],
+                &patch.touched(base.tree()),
+                witnesses,
+            )
+        };
+        let (front, stats) = delta(true);
         assert_eq!(front, scratch, "delta front must be identical to scratch");
         assert!(stats.dirty_nodes <= base.tree().node_count());
+        let (bare, bare_stats) = delta(false);
+        assert_eq!(
+            bare.without_witnesses(),
+            scratch.without_witnesses(),
+            "the witness-free fold keeps the same points in the same order"
+        );
+        assert_eq!(bare_stats, stats);
     }
 
     #[test]
@@ -272,6 +299,7 @@ mod tests {
             },
             |v| base.tree().node_type(v),
             &[],
+            true,
         );
         assert_eq!(front, cdpf(base.cd()).unwrap());
         assert_eq!(stats, DeltaStats { dirty_nodes: 0, reused_fronts: 1 });
@@ -330,6 +358,7 @@ mod tests {
             },
             |v| base.tree().node_type(v),
             &patch.touched(base.tree()),
+            true,
         );
         assert_eq!(front, scratch);
         assert!(stats.reused_fronts > 0);
@@ -357,6 +386,7 @@ mod tests {
             },
             |v| tree.node_type(v),
             &patch.touched(tree),
+            true,
         );
         // ca's node and the root are dirty; dr's subtree front is reused.
         assert_eq!(stats.dirty_nodes, 2);

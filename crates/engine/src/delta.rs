@@ -34,12 +34,19 @@
 //! persisted records never carry them, so after a restart the first
 //! what-if on a tree builds its memo again. Before reuse the memo's tree is
 //! compared *structurally* against the requester's (node types, child
-//! lists, attribute bits — names excluded, exactly the canonical-hash
-//! equivalence): digests alone cannot distinguish sibling orders, which
-//! witness tie-breaking depends on. From the moment it is attached, a
-//! memo weighs [`SubtreeMemo::points`] points in the budgeted LRU on top
-//! of its entry's root front, so retained fronts are evicted under the
-//! same bound as everything else.
+//! lists, attribute bits — names excluded): the cache key alone cannot
+//! distinguish sibling orders, which witness tie-breaking depends on.
+//! From the moment it is attached, a memo weighs [`SubtreeMemo::points`]
+//! points in the budgeted LRU on top of its entry's root front, so
+//! retained fronts are evicted under the same bound as everything else.
+//!
+//! # Sweep width
+//!
+//! The variants of a sweep are independent given the shared, read-only
+//! memo, so [`Engine::sweep`] answers them on a scoped pool of up to
+//! [`DeltaRequest::width`] threads (default [`Engine::workers`]), one
+//! result slot per patch, and returns them in patch order. Each variant's
+//! bytes come from its own fold alone, so they do not depend on the width.
 //!
 //! [`RetainedFronts::delta`]: cdat_bottomup::RetainedFronts::delta
 //! [`RetainedFronts`]: cdat_bottomup::RetainedFronts
@@ -50,13 +57,12 @@ use std::time::{Duration, Instant};
 
 use cdat_bottomup::{retain_cdpf, retain_cedpf, RetainedFronts};
 use cdat_core::canonical::{hash_cd, hash_cdp};
-use cdat_core::canonical::{subtree_hashes_cd, subtree_hashes_cdp};
 use cdat_core::{CdpAttackTree, NodeType, StructuralHash, TreePatch};
 use cdat_obs::TraceField;
 use cdat_pareto::{FrontEntry, ParetoFront, Prob, Triple};
 
 use crate::cache::{CacheKey, CachedFront};
-use crate::{Engine, FrontKind, Query, Response};
+use crate::{fan_out, Engine, FrontKind, Query, Response};
 
 /// The stable error for what-if requests against scalar query families,
 /// which have no incremental path (their one-entry fronts are not folded
@@ -77,19 +83,12 @@ enum Retained {
     Probabilistic(RetainedFronts<Prob>),
 }
 
-/// Per-subtree memoization of one treelike bottom-up solve: the canonical
-/// digest of every subtree ([`subtree_hashes_cd`] /
-/// [`subtree_hashes_cdp`] — the root entry *is* the entry's cache hash)
-/// plus the retained per-node staircase fronts, in the solved tree's own
-/// numbering.
+/// Per-subtree memoization of one treelike bottom-up solve: the retained
+/// per-node staircase fronts, in the solved tree's own numbering.
 pub struct SubtreeMemo {
     /// The instance the solve ran on; delta requests validate against it
     /// and share its numbering.
     tree: Arc<CdpAttackTree>,
-    /// Canonical per-subtree digests, indexed by node id (attribute depth
-    /// matches the family: probabilities included only for
-    /// [`FrontKind::Probabilistic`]).
-    digests: Vec<StructuralHash>,
     /// The retained solve.
     retained: Retained,
 }
@@ -98,7 +97,7 @@ impl std::fmt::Debug for SubtreeMemo {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SubtreeMemo")
             .field("kind", &self.kind())
-            .field("nodes", &self.digests.len())
+            .field("nodes", &self.tree.tree().node_count())
             .field("points", &self.points())
             .finish_non_exhaustive()
     }
@@ -113,17 +112,12 @@ impl SubtreeMemo {
         kind: FrontKind,
         tree: &Arc<CdpAttackTree>,
     ) -> Option<(ParetoFront, SubtreeMemo)> {
-        let (retained, digests) = match kind {
-            FrontKind::Deterministic => (
-                Retained::Deterministic(retain_cdpf(tree.cd()).ok()?),
-                subtree_hashes_cd(tree.cd()),
-            ),
-            FrontKind::Probabilistic => {
-                (Retained::Probabilistic(retain_cedpf(tree).ok()?), subtree_hashes_cdp(tree))
-            }
+        let retained = match kind {
+            FrontKind::Deterministic => Retained::Deterministic(retain_cdpf(tree.cd()).ok()?),
+            FrontKind::Probabilistic => Retained::Probabilistic(retain_cedpf(tree).ok()?),
             FrontKind::MinTime | FrontKind::MaxProb => return None,
         };
-        let memo = SubtreeMemo { tree: tree.clone(), digests, retained };
+        let memo = SubtreeMemo { tree: tree.clone(), retained };
         let front = match &memo.retained {
             Retained::Deterministic(r) => r.root_front(memo.tree.tree()),
             Retained::Probabilistic(r) => r.root_front(memo.tree.tree()),
@@ -139,22 +133,14 @@ impl SubtreeMemo {
         }
     }
 
-    /// The canonical per-subtree digests, indexed by node id. The root
-    /// node's digest equals the whole tree's canonical hash — the cache
-    /// key the memo's entry is stored under.
-    pub fn digests(&self) -> &[StructuralHash] {
-        &self.digests
-    }
-
     /// The memo's weight against the cache's points budget: the retained
     /// fronts at the root-entry convention (one point per staircase entry
-    /// plus one per tracked witness) plus one point per stored digest.
+    /// plus one per tracked witness).
     pub fn points(&self) -> usize {
-        let retained = match &self.retained {
+        match &self.retained {
             Retained::Deterministic(r) => r.points(),
             Retained::Probabilistic(r) => r.points(),
-        };
-        retained + self.digests.len()
+        }
     }
 
     /// Whether `tree` is the *same instance* as the memo's base, up to
@@ -193,6 +179,10 @@ pub struct DeltaRequest {
     /// The patch list; [`Engine::sweep`] answers them in order, one
     /// [`DeltaResult`] each.
     pub patches: Vec<TreePatch>,
+    /// How many threads [`Engine::sweep`] may answer the patches on (0
+    /// counts as 1); `None` means [`Engine::workers`]. Responses do not
+    /// depend on it.
+    pub width: Option<usize>,
     /// Whether responses carry witness attacks (in the base tree's own
     /// BAS numbering — identical to what a scratch solve of the variant
     /// returns).
@@ -212,7 +202,14 @@ impl DeltaRequest {
 
     /// A multi-patch sweep request.
     pub fn sweep(tree: Arc<CdpAttackTree>, query: Query, patches: Vec<TreePatch>) -> Self {
-        DeltaRequest { tree, query, patches, witnesses: false, hash: None }
+        DeltaRequest { tree, query, patches, width: None, witnesses: false, hash: None }
+    }
+
+    /// Caps the threads the sweep's variants run on (see
+    /// [`DeltaRequest::width`]).
+    pub fn with_width(mut self, width: usize) -> Self {
+        self.width = Some(width);
+        self
     }
 
     /// Requests witness attacks in the responses.
@@ -265,7 +262,8 @@ impl Engine {
     }
 
     /// Answers every patch of `request` against the shared subtree memo,
-    /// in order.
+    /// returning one result per patch, in patch order. The variants run
+    /// on up to [`DeltaRequest::width`] threads (see the module docs).
     ///
     /// Responses are byte-identical to [`Engine::run`] on each
     /// materialized variant (see the module docs); invalid patches, and
@@ -305,101 +303,111 @@ impl Engine {
         });
         let key = CacheKey { hash, kind };
         let (memo, memo_hit) = self.acquire_memo(key, &request.tree, kind);
+        let width = request.width.unwrap_or(self.workers);
+        fan_out(width, request.patches.len(), |i| {
+            self.answer_patch(request, &memo, memo_hit, &request.patches[i])
+        })
+    }
 
-        let tree = request.tree.tree();
+    /// Answers one patch of `request` on the memo's dirty path.
+    fn answer_patch(
+        &self,
+        request: &DeltaRequest,
+        memo: &SubtreeMemo,
+        memo_hit: bool,
+        patch: &TreePatch,
+    ) -> DeltaResult {
+        let kind = request.query.kind();
         let base = request.tree.as_ref();
-        request
-            .patches
-            .iter()
-            .map(|patch| {
-                let started = Instant::now();
-                if let Err(message) = patch.validate(base) {
-                    self.observe_delta(kind, 0, 0);
-                    return DeltaResult {
-                        response: Response::Error(message),
-                        memo_hit,
-                        dirty_nodes: 0,
-                        subtree_hits: 0,
-                        compute: started.elapsed(),
-                    };
+        let tree = base.tree();
+        let started = Instant::now();
+        if let Err(message) = patch.validate(base) {
+            self.observe_delta(kind, 0, 0);
+            return DeltaResult {
+                response: Response::Error(message),
+                memo_hit,
+                dirty_nodes: 0,
+                subtree_hits: 0,
+                compute: started.elapsed(),
+            };
+        }
+        // The patched model, as parallel tables over the base numbering
+        // (the delta solver never materializes a tree).
+        let mut costs = base.cd().costs().to_vec();
+        for &(b, c) in &patch.costs {
+            costs[b.index()] = c;
+        }
+        let mut damages = base.cd().damages().to_vec();
+        for &(v, d) in &patch.damages {
+            damages[v.index()] = d;
+        }
+        let mut types: Vec<NodeType> = tree.node_ids().map(|v| tree.node_type(v)).collect();
+        for &(v, ty) in &patch.gates {
+            types[v.index()] = ty;
+        }
+        let mut off = vec![false; tree.bas_count()];
+        for &b in &patch.defends {
+            off[b.index()] = true;
+        }
+        let touched = patch.touched(tree);
+        let (front, stats) = match &memo.retained {
+            Retained::Deterministic(retained) => retained.delta(
+                tree,
+                &damages,
+                |b| {
+                    (!off[b.index()]).then(|| Triple {
+                        cost: costs[b.index()],
+                        damage: damages[tree.node_of_bas(b).index()],
+                        act: true,
+                    })
+                },
+                |v| types[v.index()],
+                &touched,
+                request.witnesses,
+            ),
+            Retained::Probabilistic(retained) => {
+                let mut probs = base.probs().to_vec();
+                for &(b, p) in &patch.probs {
+                    probs[b.index()] = p;
                 }
-                // The patched model, as parallel tables over the base
-                // numbering (the delta solver never materializes a tree).
-                let mut costs = base.cd().costs().to_vec();
-                for &(b, c) in &patch.costs {
-                    costs[b.index()] = c;
-                }
-                let mut damages = base.cd().damages().to_vec();
-                for &(v, d) in &patch.damages {
-                    damages[v.index()] = d;
-                }
-                let mut types: Vec<NodeType> = tree.node_ids().map(|v| tree.node_type(v)).collect();
-                for &(v, ty) in &patch.gates {
-                    types[v.index()] = ty;
-                }
-                let mut off = vec![false; tree.bas_count()];
-                for &b in &patch.defends {
-                    off[b.index()] = true;
-                }
-                let touched = patch.touched(tree);
-                let (front, stats) = match &memo.retained {
-                    Retained::Deterministic(retained) => retained.delta(
-                        tree,
-                        &damages,
-                        |b| {
-                            (!off[b.index()]).then(|| Triple {
+                retained.delta(
+                    tree,
+                    &damages,
+                    |b| {
+                        (!off[b.index()]).then(|| {
+                            let p = probs[b.index()];
+                            Triple {
                                 cost: costs[b.index()],
-                                damage: damages[tree.node_of_bas(b).index()],
-                                act: true,
-                            })
-                        },
-                        |v| types[v.index()],
-                        &touched,
-                    ),
-                    Retained::Probabilistic(retained) => {
-                        let mut probs = base.probs().to_vec();
-                        for &(b, p) in &patch.probs {
-                            probs[b.index()] = p;
-                        }
-                        retained.delta(
-                            tree,
-                            &damages,
-                            |b| {
-                                (!off[b.index()]).then(|| {
-                                    let p = probs[b.index()];
-                                    Triple {
-                                        cost: costs[b.index()],
-                                        damage: p * damages[tree.node_of_bas(b).index()],
-                                        act: Prob::new(p),
-                                    }
-                                })
-                            },
-                            |v| types[v.index()],
-                            &touched,
-                        )
-                    }
-                };
-                self.observe_delta(kind, stats.dirty_nodes, stats.reused_fronts);
-                let compute = started.elapsed();
-                if let Some(trace) = &self.trace {
-                    trace.emit(
-                        "delta_solve",
-                        compute,
-                        &[
-                            ("kind", TraceField::Str(kind.label())),
-                            ("dirty", TraceField::U64(stats.dirty_nodes as u64)),
-                        ],
-                    );
-                }
-                DeltaResult {
-                    response: answer_delta(request.query, front, request.witnesses),
-                    memo_hit,
-                    dirty_nodes: stats.dirty_nodes,
-                    subtree_hits: stats.reused_fronts,
-                    compute,
-                }
-            })
-            .collect()
+                                damage: p * damages[tree.node_of_bas(b).index()],
+                                act: Prob::new(p),
+                            }
+                        })
+                    },
+                    |v| types[v.index()],
+                    &touched,
+                    request.witnesses,
+                )
+            }
+        };
+        self.observe_delta(kind, stats.dirty_nodes, stats.reused_fronts);
+        let compute = started.elapsed();
+        if let Some(trace) = &self.trace {
+            trace.emit(
+                "delta_solve",
+                compute,
+                &[
+                    ("kind", TraceField::Str(kind.label())),
+                    ("dirty", TraceField::U64(stats.dirty_nodes as u64)),
+                ],
+            );
+        }
+        DeltaResult {
+            response: answer_delta(request.query, front, request.witnesses),
+            memo_hit,
+            dirty_nodes: stats.dirty_nodes,
+            subtree_hits: stats.reused_fronts,
+            compute,
+        }
     }
 
     /// Fetches the validated subtree memo for `key`, or builds it from
@@ -623,7 +631,7 @@ mod tests {
     }
 
     #[test]
-    fn the_memo_root_digest_is_the_cache_hash() {
+    fn the_memo_is_attached_under_the_cache_key() {
         let base = factory();
         let engine = Engine::new(1);
         engine.run(&[BatchRequest::new(base.clone(), Query::Cdpf)]);
@@ -631,9 +639,10 @@ mod tests {
         let key = CacheKey { hash: hash_cd(base.cd()), kind: FrontKind::Deterministic };
         let entry = engine.cache().peek(&key).expect("the solve cached its front");
         let memo = entry.memo.as_ref().expect("the what-if attached its memo");
-        assert_eq!(memo.digests()[base.tree().root().index()], key.hash);
         assert_eq!(memo.kind(), FrontKind::Deterministic);
-        assert_eq!(memo.digests().len(), base.tree().node_count());
+        assert!(memo.matches(&base, FrontKind::Deterministic), "the memo is the base instance's");
+        let other = CacheKey { hash: hash_cdp(&base), kind: FrontKind::Probabilistic };
+        assert!(engine.cache().peek(&other).is_none(), "no entry under the other family's key");
     }
 
     #[test]

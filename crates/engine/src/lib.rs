@@ -657,18 +657,13 @@ impl Engine {
         }
         self.tier.memory().record(hits, misses);
 
-        // Phase 2 — compute the unique fronts on the pool. Each job is
-        // claimed exactly once via the shared counter, so every front is
-        // computed by exactly one worker regardless of pool width. The
-        // computed entry is kept in the job slot as well as inserted, so
-        // answering never depends on the entry surviving cache eviction.
-        let computed: Vec<OnceLock<Arc<CachedFront>>> =
-            jobs.iter().map(|_| OnceLock::new()).collect();
-        let next = AtomicUsize::new(0);
+        // Phase 2 — compute the unique fronts on the pool, each by exactly
+        // one worker regardless of pool width. The computed entry is kept
+        // in the job slot as well as inserted, so answering never depends
+        // on the entry surviving cache eviction.
         let persistent = matches!(self.tier, Tier::Persistent(_));
-        let worker = || loop {
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            let Some((key, tree, backend)) = jobs.get(i) else { break };
+        let computed = fan_out(self.workers, jobs.len(), |i| {
+            let (key, tree, backend) = &jobs[i];
             if let Some(metrics) = &self.metrics {
                 metrics.queue_wait_us.observe_since(run_started);
             }
@@ -701,18 +696,8 @@ impl Engine {
                     );
                 }
             }
-            let _ = computed[i].set(entry);
-        };
-        let pool = self.workers.min(jobs.len());
-        if pool <= 1 {
-            worker();
-        } else {
-            std::thread::scope(|s| {
-                for _ in 0..pool {
-                    s.spawn(worker);
-                }
-            });
-        }
+            entry
+        });
 
         // Phase 3 — answer every request from its source, in batch order,
         // translating cached canonical witnesses into each requester's own
@@ -773,7 +758,7 @@ impl Engine {
                         }
                     }
                     Source::Job(job) => {
-                        let entry = computed[job].get().expect("phase 2 computed every job");
+                        let entry = &computed[job];
                         observe_wait(entry.compute);
                         let compute = if designated[i] { entry.compute } else { Duration::ZERO };
                         BatchResult {
@@ -791,6 +776,33 @@ impl Engine {
             })
             .collect()
     }
+}
+
+/// Runs `job(i)` for every `i < count` on a scoped pool of up to `width`
+/// threads and returns the results in index order. Workers claim indices
+/// through a shared counter, so every job runs exactly once whatever the
+/// width; a width of 1, or a single job, runs inline on the caller.
+fn fan_out<R: Send + Sync>(width: usize, count: usize, job: impl Fn(usize) -> R + Sync) -> Vec<R> {
+    let slots: Vec<OnceLock<R>> = (0..count).map(|_| OnceLock::new()).collect();
+    let next = AtomicUsize::new(0);
+    let worker = || loop {
+        // Relaxed suffices: the counter only hands out indices; results
+        // are published through the slots and the scope's join.
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        let Some(slot) = slots.get(i) else { break };
+        let _ = slot.set(job(i));
+    };
+    let pool = width.min(count);
+    if pool <= 1 {
+        worker();
+    } else {
+        std::thread::scope(|s| {
+            for _ in 0..pool {
+                s.spawn(worker);
+            }
+        });
+    }
+    slots.into_iter().map(|slot| slot.into_inner().expect("every job was claimed")).collect()
 }
 
 /// Re-expresses `front`'s witnesses (in `cdp`'s own numbering) in

@@ -8,7 +8,10 @@
 //! [`Engine`] with its own (optionally budgeted) [`FrontCache`] — there is
 //! no shared-cache lock at all; parallelism comes from running shards
 //! concurrently, and scaling the shard count scales both compute and cache
-//! capacity without adding contention.
+//! capacity without adding contention. The one fan-out inside a shard is a
+//! what-if sweep: its variants share the shard's read-only subtree memo,
+//! so they run on up to `shards` scoped threads
+//! ([`DeltaRequest::width`]) while batches stay single-threaded.
 //!
 //! With a [`store`](RouterConfig::store) configured, every shard opens its
 //! *own* [`PersistentFrontCache`] handle on the same file. Appends go
@@ -232,7 +235,7 @@ impl Router {
             telemetry.push(shard_telemetry.clone());
             let handle = std::thread::Builder::new()
                 .name(format!("cdat-shard-{index}"))
-                .spawn(move || shard_loop(rx, engine, shard_telemetry))
+                .spawn(move || shard_loop(rx, engine, shard_telemetry, shards))
                 .expect("spawn shard thread");
             txs.push(tx);
             handles.push(handle);
@@ -432,8 +435,15 @@ impl Drop for Router {
 }
 
 /// One shard: a single-threaded engine over its private cache slice (and
-/// its private store handle, when persistence is on).
-fn shard_loop(rx: Receiver<ShardMsg>, engine: Engine, telemetry: Arc<ShardTelemetry>) {
+/// its private store handle, when persistence is on). Only a sweep fans
+/// out: its variants run on up to `sweep_width` threads (the router's
+/// shard count), since one sweep's variants all share this shard's memo.
+fn shard_loop(
+    rx: Receiver<ShardMsg>,
+    engine: Engine,
+    telemetry: Arc<ShardTelemetry>,
+    sweep_width: usize,
+) {
     for message in rx {
         match message {
             ShardMsg::Batch(jobs) => {
@@ -464,7 +474,8 @@ fn shard_loop(rx: Receiver<ShardMsg>, engine: Engine, telemetry: Arc<ShardTeleme
                 let started = Instant::now();
                 let request = DeltaRequest::sweep(job.tree, job.query, job.patches)
                     .with_witnesses(job.witnesses)
-                    .with_hash(hash);
+                    .with_hash(hash)
+                    .with_width(sweep_width);
                 let results = engine.sweep(&request);
                 for (k, (result, prefix)) in results.into_iter().zip(job.prefixes).enumerate() {
                     let mut line = prefix;

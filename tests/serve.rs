@@ -460,3 +460,87 @@ fn stdio_protocol_handles_hints_errors_and_suites() {
         assert_eq!(body(&pair[0]), body(&pair[1]), "{pair:?}");
     }
 }
+
+/// Two sweeps in flight at once on a 2-shard router, whose shards each
+/// fan their sweep out over two threads: each sweep's replies come back on
+/// its own channel in patch order, at consecutive sequence numbers, with
+/// exactly the lines a 1-shard router answers.
+#[test]
+fn concurrent_sweeps_on_two_shards_come_back_in_patch_order() {
+    use std::sync::mpsc::channel;
+    use std::sync::Arc;
+
+    use cdat::engine::{Query, SolverHint, TreePatch};
+    use cdat::server::{DeltaRouteRequest, RouteRequest, Router, RouterConfig};
+    use cdat::{BasId, NodeId};
+    use rand::prelude::*;
+    use rand::rngs::StdRng;
+
+    let two = Router::new(RouterConfig { shards: 2, ..RouterConfig::default() }).unwrap();
+    let one = Router::new(RouterConfig { shards: 1, ..RouterConfig::default() }).unwrap();
+    let mut rng = StdRng::seed_from_u64(0x5EE9);
+    let shard_of = |tree: &Arc<cdat::CdpAttackTree>| {
+        two.shard_of(&RouteRequest {
+            tree: tree.clone(),
+            query: Query::Cdpf,
+            hint: SolverHint::Auto,
+            witnesses: true,
+            prefix: String::new(),
+        })
+    };
+    // One base tree per shard, so both shards sweep at the same time.
+    let mut bases: Vec<Arc<cdat::CdpAttackTree>> = Vec::new();
+    while bases.len() < 2 {
+        let tree = cdat_gen::random_dag(&mut rng, 40, 0.0);
+        let tree = Arc::new(cdat_gen::decorate_prob(tree, &mut rng));
+        if bases.iter().all(|b| shard_of(b) != shard_of(&tree)) {
+            bases.push(tree);
+        }
+    }
+    let sweeps: Vec<DeltaRouteRequest> = bases
+        .iter()
+        .enumerate()
+        .map(|(id, base)| {
+            let tree = base.tree();
+            let patches: Vec<TreePatch> = (0..16)
+                .map(|k| TreePatch {
+                    costs: vec![(BasId::new(k % tree.bas_count()), f64::from(k as u32))],
+                    damages: vec![(tree.root(), f64::from(k as u32 * 3))],
+                    defends: vec![BasId::new((k * 7) % tree.bas_count())],
+                    ..TreePatch::default()
+                })
+                .chain([TreePatch {
+                    damages: vec![(NodeId::new(0), -1.0)],
+                    ..TreePatch::default()
+                }])
+                .collect();
+            DeltaRouteRequest {
+                tree: base.clone(),
+                query: Query::Cdpf,
+                witnesses: true,
+                prefixes: (0..patches.len())
+                    .map(|k| format!("{{\"id\":{id},\"variant\":{k}"))
+                    .collect(),
+                patches,
+            }
+        })
+        .collect();
+
+    let receivers: Vec<_> = sweeps
+        .iter()
+        .map(|sweep| {
+            let (tx, rx) = channel();
+            two.dispatch_delta(100, sweep.clone(), tx);
+            rx
+        })
+        .collect();
+    for (sweep, rx) in sweeps.into_iter().zip(receivers) {
+        let replies: Vec<(u64, String)> = rx.iter().collect();
+        let seqs: Vec<u64> = replies.iter().map(|(seq, _)| *seq).collect();
+        let want: Vec<u64> = (100..100 + sweep.patches.len() as u64).collect();
+        assert_eq!(seqs, want, "replies arrive in patch order");
+        let lines: Vec<String> = replies.into_iter().map(|(_, line)| line).collect();
+        assert!(lines.last().unwrap().contains("\"error\""), "the bad patch answers in place");
+        assert_eq!(lines, one.sweep(sweep), "2-shard lines equal 1-shard lines");
+    }
+}

@@ -1,21 +1,24 @@
 //! Subtree-digest and incremental what-if invariants.
 //!
-//! The engine's subtree-front memo keys on the per-subtree canonical
-//! digests of [`cdat::core::canonical::subtree_hashes_cd`] /
-//! [`subtree_hashes_cdp`], so the digests must obey exactly the root
-//! hash's discipline: invariant under renaming, renumbering and sibling
-//! permutation; sensitive to sharing (a shared subtree is not two copies
-//! of it); and literally equal to the root [`StructuralHash`] at the root
-//! node. Each property gets a test here, plus a randomized end-to-end
-//! check that the incremental what-if path answers byte-identically to a
-//! scratch solve of the materialized variant.
+//! The per-subtree canonical digests of
+//! [`cdat::core::canonical::subtree_hashes_cd`] / [`subtree_hashes_cdp`]
+//! must obey exactly the root hash's discipline: invariant under renaming,
+//! renumbering and sibling permutation; sensitive to sharing (a shared
+//! subtree is not two copies of it); and literally equal to the root
+//! [`StructuralHash`] at the root node. Each property gets a test here,
+//! plus randomized end-to-end checks that the incremental what-if path
+//! answers byte-identically to a scratch solve of the materialized
+//! variant, whatever the sweep width and with witnesses on or off.
 
 use std::sync::Arc;
 
 use cdat::core::canonical::{hash_cd, hash_cdp, subtree_hashes_cd, subtree_hashes_cdp};
-use cdat::engine::{BatchRequest, DeltaRequest, Engine, Query, TreePatch};
-use cdat::gen::{decorate_prob, isomorphic_copy, random_small};
-use cdat::{AttackTreeBuilder, BasId, CdAttackTree, NodeId, NodeType};
+use cdat::engine::{BatchRequest, DeltaRequest, Engine, Query, Response, TreePatch};
+use cdat::gen::{decorate_prob, isomorphic_copy, random_dag, random_small};
+use cdat::{
+    AttackTreeBuilder, BasId, CdAttackTree, CdpAttackTree, FrontEntry, NodeId, NodeType,
+    ParetoFront,
+};
 use rand::prelude::*;
 use rand::rngs::StdRng;
 
@@ -208,6 +211,132 @@ fn whatif_answers_equal_scratch_solves_of_the_materialized_variant() {
                 scratch[0].response, delta.response,
                 "incremental what-if diverged from scratch (seed {seed}, query {query:?})"
             );
+        }
+    }
+}
+
+/// The cost a defended BAS takes in the materialized reference. A defend
+/// has no standalone tree, so the reference prices the BAS out instead:
+/// every attack using it costs at least this much, more than any attack of
+/// the generated trees without it, and its entries sort after every
+/// cheaper one. The cheap part of the reference answer is then the
+/// defended variant's answer, witnesses included.
+const DEFENDED_COST: f64 = 1e6;
+
+/// A random multi-edit patch: one to four cost, damage, probability, gate
+/// or defend edits.
+fn random_patch(rng: &mut StdRng, base: &CdpAttackTree) -> TreePatch {
+    let tree = base.tree();
+    let gates: Vec<NodeId> = tree.node_ids().filter(|&v| tree.node_type(v).is_gate()).collect();
+    let mut patch = TreePatch::default();
+    for _ in 0..rng.gen_range(1..=4) {
+        let bas = BasId::new(rng.gen_range(0..tree.bas_count()));
+        match rng.gen_range(0..5) {
+            0 => patch.costs.push((bas, f64::from(rng.gen_range(0..=12)))),
+            1 => {
+                let node = NodeId::new(rng.gen_range(0..tree.node_count()));
+                patch.damages.push((node, f64::from(rng.gen_range(0..=12))));
+            }
+            2 => patch.probs.push((bas, f64::from(rng.gen_range(0..=10)) / 10.0)),
+            3 => {
+                let gate = gates[rng.gen_range(0..gates.len())];
+                let flipped =
+                    if tree.node_type(gate) == NodeType::Or { NodeType::And } else { NodeType::Or };
+                patch.gates.push((gate, flipped));
+            }
+            _ => patch.defends.push(bas),
+        }
+    }
+    patch
+}
+
+/// The variant as a standalone tree, defends priced out at
+/// [`DEFENDED_COST`].
+fn materialize(base: &CdpAttackTree, patch: &TreePatch) -> Arc<CdpAttackTree> {
+    let mut stand_in = patch.clone();
+    stand_in.costs.extend(stand_in.defends.drain(..).map(|b| (b, DEFENDED_COST)));
+    Arc::new(stand_in.apply(base).expect("a defend-free patch materializes"))
+}
+
+/// Drops the answers that need a priced-out BAS from a reference response.
+fn without_defended(response: Response) -> Response {
+    match response {
+        Response::Front(front) => Response::Front(ParetoFront::from_entries(
+            front.entries().iter().filter(|e| e.point.cost < DEFENDED_COST).cloned(),
+        )),
+        Response::Entry(Some(e)) if e.point.cost >= DEFENDED_COST => Response::Entry(None),
+        other => other,
+    }
+}
+
+/// A response with its witnesses removed.
+fn stripped(response: &Response) -> Response {
+    let bare = |e: &FrontEntry| FrontEntry { point: e.point, witness: None };
+    match response {
+        Response::Front(front) => Response::Front(front.without_witnesses()),
+        Response::Entry(entry) => Response::Entry(entry.as_ref().map(bare)),
+        other => other.clone(),
+    }
+}
+
+/// Seeded property: on random 60-BAS treelike trees, every line of a
+/// multi-edit sweep equals `Engine::run` on the materialized variant, at
+/// sweep width 1 and 3, with witnesses on and off; and every witness-off
+/// line is its witness-on line with the witnesses stripped.
+#[test]
+fn sweeps_match_scratch_at_every_width_with_and_without_witnesses() {
+    const TREES: u64 = 3;
+    const PATCHES: usize = 8;
+    for seed in 0..TREES {
+        let mut rng = StdRng::seed_from_u64(0x5D1_3000 + seed);
+        let base = Arc::new(decorate_prob(random_dag(&mut rng, 60, 0.0), &mut rng));
+        assert!(base.tree().is_treelike(), "sharing 0 generates treelike trees");
+        let patches: Vec<TreePatch> = (0..PATCHES).map(|_| random_patch(&mut rng, &base)).collect();
+        let variants: Vec<Arc<CdpAttackTree>> =
+            patches.iter().map(|patch| materialize(&base, patch)).collect();
+        let budget = f64::from(rng.gen_range(5..=60));
+        let threshold = f64::from(rng.gen_range(10..=120));
+        // One engine per side for all queries: each variant's front (and
+        // the base's memo) is computed once per family, then answered from
+        // the cache for the family's other queries.
+        let (reference, engine) = (Engine::new(1), Engine::new(1));
+        // A front query and an entry query per family.
+        for query in [Query::Cdpf, Query::Cgd(threshold), Query::Cedpf, Query::Edgc(budget)] {
+            let mut witnessed = Vec::new();
+            for witnesses in [true, false] {
+                let requests: Vec<BatchRequest> = variants
+                    .iter()
+                    .map(|v| BatchRequest::new(v.clone(), query).with_witnesses(witnesses))
+                    .collect();
+                let scratch: Vec<Response> = reference
+                    .run(&requests)
+                    .into_iter()
+                    .map(|r| without_defended(r.response))
+                    .collect();
+                for width in [1, 3] {
+                    let request = DeltaRequest::sweep(base.clone(), query, patches.clone())
+                        .with_witnesses(witnesses)
+                        .with_width(width);
+                    let lines: Vec<Response> =
+                        engine.sweep(&request).into_iter().map(|r| r.response).collect();
+                    assert_eq!(lines.len(), PATCHES, "one line per patch");
+                    for (k, (line, want)) in lines.iter().zip(&scratch).enumerate() {
+                        assert_eq!(
+                            line, want,
+                            "seed {seed}, {query:?}, witnesses {witnesses}, width {width}, \
+                             patch {k}: {:?}",
+                            patches[k]
+                        );
+                    }
+                    if witnesses {
+                        witnessed = lines;
+                    } else {
+                        for (k, (bare, full)) in lines.iter().zip(&witnessed).enumerate() {
+                            assert_eq!(bare, &stripped(full), "seed {seed}, {query:?}, patch {k}");
+                        }
+                    }
+                }
+            }
         }
     }
 }
